@@ -77,12 +77,16 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Short coverage-guided exploration of Server.Submit beyond the seeded
-# corpus: adversarial (stream, frame, arriveAt) triples under every
-# reconnect x poison policy combination. CI runs this as a smoke pass;
-# raise FUZZ_TIME locally for a real hunt.
+# Short coverage-guided exploration beyond the seeded corpora, each
+# target for $(FUZZ_TIME): Server.Submit with adversarial (stream,
+# frame, arriveAt) triples under every reconnect x poison policy
+# combination, then the mask's word-level span arithmetic against the
+# cell-at-a-time reference on arbitrary boxes and cell sizes. CI runs
+# this as a smoke pass; raise FUZZ_TIME locally for a real hunt.
 fuzz:
 	$(GO) test ./internal/serve -run '^FuzzSubmit$$' -fuzz '^FuzzSubmit$$' \
+		-fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/geom -run '^FuzzMaskSpans$$' -fuzz '^FuzzMaskSpans$$' \
 		-fuzztime $(FUZZ_TIME)
 
 # One iteration of every benchmark: a smoke pass that also emits the

@@ -11,6 +11,11 @@ import (
 // needed to extract features over the union of proposal regions, which
 // requires area accounting that does not double-count overlapping
 // proposals; a grid at feature-map granularity does exactly that.
+//
+// The grid is stored as a flat row-major bitset: cell (cx, cy) is bit
+// cy*nx+cx. A box covers one contiguous span of bits per grid row, so
+// AddBox and BoxCoverage work a 64-bit word at a time, with masks for
+// the partial words at each end of a span.
 type Mask struct {
 	w, h   float64 // frame size in pixels
 	cell   float64 // cell edge length in pixels
@@ -62,26 +67,13 @@ func (m *Mask) FrameWidth() float64 { return m.w }
 // FrameHeight returns the pixel height of the underlying frame.
 func (m *Mask) FrameHeight() float64 { return m.h }
 
-func (m *Mask) index(cx, cy int) (word int, bit uint) {
-	i := cy*m.nx + cx
-	return i / 64, uint(i % 64)
-}
-
-func (m *Mask) set(cx, cy int) {
-	w, b := m.index(cx, cy)
-	m.bits[w] |= 1 << b
-}
-
-func (m *Mask) get(cx, cy int) bool {
-	w, b := m.index(cx, cy)
-	return m.bits[w]&(1<<b) != 0
-}
-
 // cellRange converts a pixel box to the clipped inclusive cell range it
-// touches. ok is false when the box misses the frame entirely.
+// touches. ok is false when the box misses the frame entirely, when its
+// clipped coordinates are not ordered (a NaN coordinate compares false
+// either way), and when rounding leaves a sub-ulp box without a cell.
 func (m *Mask) cellRange(b Box) (x0, y0, x1, y1 int, ok bool) {
 	b = b.Clip(m.w, m.h)
-	if b.Empty() {
+	if !(b.X2 > b.X1 && b.Y2 > b.Y1) {
 		return 0, 0, 0, 0, false
 	}
 	x0 = int(b.X1 / m.cell)
@@ -94,19 +86,63 @@ func (m *Mask) cellRange(b Box) (x0, y0, x1, y1 int, ok bool) {
 	if y1 >= m.ny {
 		y1 = m.ny - 1
 	}
+	if x1 < x0 || y1 < y0 {
+		return 0, 0, 0, 0, false
+	}
 	return x0, y0, x1, y1, true
 }
 
+// spanWords returns the words holding the inclusive bit span [lo, hi]
+// of the flat bitset, with the masks selecting its bits in the first
+// and the last of them.
+func spanWords(lo, hi int) (w0, w1 int, first, last uint64) {
+	return lo >> 6, hi >> 6, ^uint64(0) << uint(lo&63), ^uint64(0) >> uint(63-hi&63)
+}
+
+// fillSpan sets the inclusive bit span [lo, hi] of the flat bitset.
+//
+//detlint:allocfree
+func (m *Mask) fillSpan(lo, hi int) {
+	w0, w1, first, last := spanWords(lo, hi)
+	if w0 == w1 {
+		m.bits[w0] |= first & last
+		return
+	}
+	m.bits[w0] |= first
+	for w := w0 + 1; w < w1; w++ {
+		m.bits[w] = ^uint64(0)
+	}
+	m.bits[w1] |= last
+}
+
+// countSpan returns the number of set bits in the inclusive bit span
+// [lo, hi] of the flat bitset.
+//
+//detlint:allocfree
+func (m *Mask) countSpan(lo, hi int) int {
+	w0, w1, first, last := spanWords(lo, hi)
+	if w0 == w1 {
+		return bits.OnesCount64(m.bits[w0] & first & last)
+	}
+	n := bits.OnesCount64(m.bits[w0]&first) + bits.OnesCount64(m.bits[w1]&last)
+	for _, w := range m.bits[w0+1 : w1] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // AddBox marks every cell touched by the box (clipped to the frame).
+// Each covered row of cells is one contiguous span of the row-major
+// bitset, so it is set a word at a time.
+//
+//detlint:allocfree
 func (m *Mask) AddBox(b Box) {
 	x0, y0, x1, y1, ok := m.cellRange(b)
 	if !ok {
 		return
 	}
-	for cy := y0; cy <= y1; cy++ {
-		for cx := x0; cx <= x1; cx++ {
-			m.set(cx, cy)
-		}
+	for row := y0 * m.nx; row <= y1*m.nx; row += m.nx {
+		m.fillSpan(row+x0, row+x1)
 	}
 }
 
@@ -118,10 +154,12 @@ func (m *Mask) AddBoxes(boxes []Box, margin float64) {
 }
 
 // CoveredCells returns the number of marked cells.
+//
+//detlint:allocfree
 func (m *Mask) CoveredCells() int {
 	n := 0
 	for _, w := range m.bits {
-		n += popcount(w)
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -140,24 +178,18 @@ func (m *Mask) CoveredFraction() float64 {
 // BoxCoverage returns the fraction of the box's cells that are marked, in
 // [0, 1]. An object whose box coverage is low cannot be detected by a
 // detector restricted to this mask.
+//
+//detlint:allocfree
 func (m *Mask) BoxCoverage(b Box) float64 {
 	x0, y0, x1, y1, ok := m.cellRange(b)
 	if !ok {
 		return 0
 	}
-	covered, total := 0, 0
-	for cy := y0; cy <= y1; cy++ {
-		for cx := x0; cx <= x1; cx++ {
-			total++
-			if m.get(cx, cy) {
-				covered++
-			}
-		}
+	covered := 0
+	for row := y0 * m.nx; row <= y1*m.nx; row += m.nx {
+		covered += m.countSpan(row+x0, row+x1)
 	}
-	if total == 0 {
-		return 0
-	}
-	return float64(covered) / float64(total)
+	return float64(covered) / float64((y1-y0+1)*(x1-x0+1))
 }
 
 // Reset clears all marked cells, retaining the allocation.
@@ -168,5 +200,3 @@ func (m *Mask) Reset() {
 		m.bits[i] = 0
 	}
 }
-
-func popcount(x uint64) int { return bits.OnesCount64(x) }

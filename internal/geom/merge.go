@@ -12,6 +12,10 @@ type CostFunc func(b Box) float64
 // execution cost of their union is smaller than the sum of their
 // individual costs. Merging repeats until no profitable pair remains.
 // The input is not modified; the result holds the merged regions.
+//
+// Each live box's cost is computed once and kept beside it, so a round
+// calls cost only for the candidate unions. Up to 64 boxes the costs
+// live on the stack and the result slice is the only allocation.
 func GreedyMerge(boxes []Box, cost CostFunc) []Box {
 	out := make([]Box, 0, len(boxes))
 	for _, b := range boxes {
@@ -19,24 +23,33 @@ func GreedyMerge(boxes []Box, cost CostFunc) []Box {
 			out = append(out, b)
 		}
 	}
+	var buf [64]float64
+	c := buf[:0]
+	if len(out) > len(buf) {
+		c = make([]float64, 0, len(out))
+	}
+	for _, b := range out {
+		c = append(c, cost(b))
+	}
 	for {
 		bestI, bestJ := -1, -1
-		bestGain := 0.0
+		bestGain, bestCost := 0.0, 0.0
 		for i := 0; i < len(out); i++ {
 			for j := i + 1; j < len(out); j++ {
-				merged := out[i].Union(out[j])
-				gain := cost(out[i]) + cost(out[j]) - cost(merged)
+				mc := cost(out[i].Union(out[j]))
+				gain := c[i] + c[j] - mc
 				if gain > bestGain {
-					bestGain, bestI, bestJ = gain, i, j
+					bestGain, bestCost, bestI, bestJ = gain, mc, i, j
 				}
 			}
 		}
 		if bestI < 0 {
 			return out
 		}
-		out[bestI] = out[bestI].Union(out[bestJ])
-		out[bestJ] = out[len(out)-1]
-		out = out[:len(out)-1]
+		last := len(out) - 1
+		out[bestI], c[bestI] = out[bestI].Union(out[bestJ]), bestCost
+		out[bestJ], c[bestJ] = out[last], c[last]
+		out, c = out[:last], c[:last]
 	}
 }
 

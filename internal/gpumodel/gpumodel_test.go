@@ -2,6 +2,7 @@ package gpumodel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -225,3 +226,25 @@ func TestFullCascadeFrame(t *testing.T) {
 		t.Fatalf("full cascade %.4f not above region-gated CaTDet %.4f", full.Total, gated.Total)
 	}
 }
+
+// BenchmarkMergeRegions prices one KITTI frame's refinement regions: 12
+// seeded detection-sized boxes, each expanded by the 30 px margin.
+func BenchmarkMergeRegions(b *testing.B) {
+	m := Default()
+	cost := ops.MustCostModel("resnet50")
+	rng := rand.New(rand.NewSource(1))
+	regions := make([]geom.Box, 12)
+	for i := range regions {
+		w, h := 30+rng.Float64()*150, 25+rng.Float64()*100
+		x, y := rng.Float64()*(ops.KITTIWidth-w), 120+rng.Float64()*(ops.KITTIHeight-120-h)
+		regions[i] = geom.NewBox(x, y, x+w, y+h).Expand(30)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkMerged = m.MergeRegions(regions, ops.KITTIWidth, ops.KITTIHeight, cost)
+	}
+}
+
+// sinkMerged keeps the compiler from discarding the benchmarked call.
+var sinkMerged []geom.Box
