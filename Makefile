@@ -23,7 +23,7 @@ STATICCHECK     ?= staticcheck
 STATICCHECK_VERSION ?= 2024.1.1
 FUZZ_TIME       ?= 20s
 
-.PHONY: all fmt vet lint lint-install lint-det build test race cover fuzz bench bench-json bench-diff cluster-determinism cluster-failover profile repro sweep trace clean
+.PHONY: all fmt vet lint lint-install lint-det build test race cover fuzz bench bench-json bench-diff perfbench-check cluster-determinism cluster-failover profile repro sweep trace clean
 
 all: fmt vet build test
 
@@ -124,6 +124,21 @@ bench-diff:
 		st=$$?; if [ $$st -ne 0 ]; then cat bench_head.txt; exit $$st; fi; \
 		$(GO) run ./cmd/benchjson -o BENCH_HEAD.json bench_head.txt && \
 		$(GO) run ./cmd/benchdiff -head BENCH_HEAD.json -threshold $(BENCH_THRESHOLD)
+
+# The repository benchmark (perfbench/, its own module) exercised end to
+# end: its own tests, then one short traced offline-kitti run built from
+# source by perfbench/run.sh. Fails unless the run's last line reports
+# "correct":true with "failed":0, i.e. every call into the simulator and
+# every output check passed.
+perfbench-check:
+	cd perfbench && $(GO) test ./...
+	@out=$$(bash perfbench/run.sh --workload offline-kitti --seed 1 --seconds 1 --trace 1); \
+		st=$$?; last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		case "$$last" in \
+		*'"correct":true,'*'"failed":0,'*) [ $$st -eq 0 ] && echo "perfbench-check: correct, 0 failed" && exit 0;; \
+		esac; \
+		printf '%s\n' "$$out" | tail -n 20; \
+		echo "perfbench-check: run did not report \"correct\":true with \"failed\":0 (exit $$st)"; exit 1
 
 # Byte-identity of the merged cluster books across shard counts, static
 # executor counts and step-worker fan-outs, under the race detector:

@@ -154,18 +154,37 @@ func parseBenchLine(line string) (Benchmark, bool, error) {
 }
 
 // best folds duplicate entries of one benchmark (e.g. -count runs) into
-// the minimum of each quantity: the least-noisy observation.
+// the minimum of each quantity: the least-noisy observation. name is
+// the first entry's name as printed.
 type best struct {
+	name   string
 	ns     float64
 	allocs *float64
+}
+
+// benchKey is a benchmark's name without the "-N" suffix `go test
+// -bench` appends when GOMAXPROCS N > 1, so reports recorded at
+// different CPU counts match. A name whose last element itself ends in
+// "-<digits>" loses that too; both sides lose it alike only when both
+// ran at one CPU or both above it.
+func benchKey(name string) string {
+	i := len(name)
+	for i > 0 && name[i-1] >= '0' && name[i-1] <= '9' {
+		i--
+	}
+	if i < len(name) && i > 0 && name[i-1] == '-' {
+		return name[:i-1]
+	}
+	return name
 }
 
 func index(rep *Report) map[string]best {
 	m := make(map[string]best, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
-		cur, ok := m[b.Name]
+		key := benchKey(b.Name)
+		cur, ok := m[key]
 		if !ok {
-			m[b.Name] = best{ns: b.NsPerOp, allocs: b.AllocsPerOp}
+			m[key] = best{name: b.Name, ns: b.NsPerOp, allocs: b.AllocsPerOp}
 			continue
 		}
 		if b.NsPerOp < cur.ns {
@@ -174,7 +193,7 @@ func index(rep *Report) map[string]best {
 		if b.AllocsPerOp != nil && (cur.allocs == nil || *b.AllocsPerOp < *cur.allocs) {
 			cur.allocs = b.AllocsPerOp
 		}
-		m[b.Name] = cur
+		m[key] = cur
 	}
 	return m
 }
@@ -212,7 +231,8 @@ func (r Regression) String() string {
 const allocsJitter = 0.001
 
 // Diff gates head against base over the benchmarks both reports pin
-// (intersection by name, duplicates folded to their minimum): ns/op may
+// (intersection by name less any GOMAXPROCS suffix, duplicates folded
+// to their minimum; regressions carry the head's name): ns/op may
 // not regress by more than threshold (fractional, e.g. 0.15), and
 // allocs/op may not regress beyond the allocsJitter guard — allocation
 // counts are exact and machine-independent, so there is no noise
@@ -223,19 +243,19 @@ const allocsJitter = 0.001
 func Diff(base, head *Report, threshold float64) (regs []Regression, matched int) {
 	bi, hi := index(base), index(head)
 	sameHost := base.SameHost(head)
-	names := make([]string, 0, len(hi))
-	for name := range hi {
-		if _, ok := bi[name]; ok {
-			names = append(names, name)
+	keys := make([]string, 0, len(hi))
+	for key := range hi {
+		if _, ok := bi[key]; ok {
+			keys = append(keys, key)
 		}
 	}
-	sort.Strings(names)
-	matched = len(names)
-	for _, name := range names {
-		b, h := bi[name], hi[name]
+	sort.Strings(keys)
+	matched = len(keys)
+	for _, key := range keys {
+		b, h := bi[key], hi[key]
 		if b.ns > 0 && h.ns > b.ns*(1+threshold) {
 			regs = append(regs, Regression{
-				Name: name, Metric: "ns/op", Base: b.ns, Head: h.ns,
+				Name: h.name, Metric: "ns/op", Base: b.ns, Head: h.ns,
 				Ratio: h.ns / b.ns, Advisory: !sameHost,
 			})
 		}
@@ -245,7 +265,7 @@ func Diff(base, head *Report, threshold float64) (regs []Regression, matched int
 				ratio = *h.allocs / *b.allocs
 			}
 			regs = append(regs, Regression{
-				Name: name, Metric: "allocs/op", Base: *b.allocs, Head: *h.allocs,
+				Name: h.name, Metric: "allocs/op", Base: *b.allocs, Head: *h.allocs,
 				Ratio: ratio,
 			})
 		}

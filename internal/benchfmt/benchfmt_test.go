@@ -156,3 +156,22 @@ func TestDiffMinOfCounts(t *testing.T) {
 		t.Errorf("min-of-counts not applied: %+v", regs)
 	}
 }
+
+// TestDiffMatchesAcrossCPUCounts pins the GOMAXPROCS suffix rule: a
+// baseline recorded at one CPU (no suffix) matches heads recorded at 2
+// and 8 CPUs, sub-benchmarks included, and still gates them.
+func TestDiffMatchesAcrossCPUCounts(t *testing.T) {
+	base := parseSample(t, "BenchmarkEvaluate 10 1000 ns/op 5 allocs/op\n"+
+		"BenchmarkServeParallelStep/workers=1 10 1000 ns/op 5 allocs/op\n")
+	for _, cpus := range []string{"2", "8"} {
+		head := parseSample(t, "BenchmarkEvaluate-"+cpus+" 10 1000 ns/op 5 allocs/op\n"+
+			"BenchmarkServeParallelStep/workers=1-"+cpus+" 10 1000 ns/op 6 allocs/op\n")
+		regs, matched := Diff(base, head, 0.15)
+		if matched != 2 {
+			t.Errorf("-%s head matched %d benchmarks, want 2", cpus, matched)
+		}
+		if len(regs) != 1 || regs[0].Name != "BenchmarkServeParallelStep/workers=1-"+cpus || regs[0].Metric != "allocs/op" {
+			t.Errorf("-%s head: got %+v, want the sub-benchmark's allocs/op growth", cpus, regs)
+		}
+	}
+}

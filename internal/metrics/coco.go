@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"repro/internal/dataset"
-	"repro/internal/geom"
-)
+import "repro/internal/dataset"
 
 // The official CityPersons benchmark follows the MS-COCO protocol,
 // "which measures mAP under 10 different IoUs ranging from 0.5 to
@@ -13,27 +10,8 @@ import (
 // CollectAtIoU pools evaluation records at an explicit IoU threshold
 // (instead of the per-class KITTI thresholds).
 func CollectAtIoU(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty, iou float64) map[dataset.Class]*ClassRecords {
-	out := map[dataset.Class]*ClassRecords{}
-	for _, c := range ds.Classes {
-		out[c] = &ClassRecords{Class: c}
-	}
-	for si := range ds.Sequences {
-		seq := &ds.Sequences[si]
-		frames := dets[seq.ID]
-		for fi := range seq.Frames {
-			if !seq.Frames[fi].Labeled {
-				continue
-			}
-			var fd []geom.Scored
-			if frames != nil && fi < len(frames) {
-				fd = frames[fi]
-			}
-			for _, c := range ds.Classes {
-				matchFrameIoU(seq.Frames[fi].Objects, fd, c, diff, iou, out[c], nil)
-			}
-		}
-	}
-	return out
+	records, _ := pass(ds, dets, diff, iou, false)
+	return records
 }
 
 // MAPAtIoU returns the mean AP over classes at one IoU threshold.

@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"sort"
-
-	"repro/internal/dataset"
-)
+import "repro/internal/dataset"
 
 // CurvePoint is one operating point of the Figure 7 visualization: how
 // recall and delay trade against precision for a single class.
@@ -23,13 +19,12 @@ type CurvePoint struct {
 func DelayRecallCurve(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty,
 	class dataset.Class, precisionTargets []float64) []CurvePoint {
 
-	records := Collect(ds, dets, diff)
+	records, tracks := pass(ds, dets, diff, 0, true)
 	r := records[class]
 	if r == nil || len(r.Records) == 0 {
 		return nil
 	}
 	ci := newClassIndex(r)
-	tracks := CollectTracks(ds, dets, diff)
 	var classTracks []*TrackObservation
 	for _, tr := range tracks {
 		if tr.Class == class && tr.FirstEligible >= 0 {
@@ -37,16 +32,13 @@ func DelayRecallCurve(ds *dataset.Dataset, dets Detections, diff dataset.Difficu
 		}
 	}
 
-	// Candidate thresholds: the distinct scores, ascending.
-	cand := append([]float64(nil), ci.scores...)
-	sort.Float64s(cand)
-
 	var out []CurvePoint
 	for _, target := range precisionTargets {
-		// Smallest threshold achieving the target precision.
+		// Smallest threshold achieving the target precision: the
+		// candidates are the scores, ascending.
 		t, found := 0.0, false
-		for _, c := range cand {
-			if ci.precisionAt(c) >= target {
+		for i := len(ci.sorted) - 1; i >= 0; i-- {
+			if c := ci.sorted[i].Score; ci.precisionAt(c) >= target {
 				t, found = c, true
 				break
 			}

@@ -2,10 +2,8 @@ package metrics
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/dataset"
-	"repro/internal/geom"
 )
 
 // TrackObservation summarizes one ground-truth track for the delay
@@ -45,97 +43,14 @@ func (tr *TrackObservation) DelayAt(t float64) float64 {
 // CollectTracks builds the per-track delay observations. Matching
 // follows the same per-frame greedy rule as the AP metric; the score of
 // the detection matched to each ground-truth object is recorded against
-// its track. Only labeled frames contribute (dense labels are required
-// for a meaningful delay; CityPersons-style sparse sets are evaluated
-// with mAP only, as in the paper).
+// its track. Eligibility is per-frame: an object currently failing the
+// difficulty filter cannot be "detected" yet. Only labeled frames
+// contribute (dense labels are required for a meaningful delay;
+// CityPersons-style sparse sets are evaluated with mAP only, as in the
+// paper).
 func CollectTracks(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty) []*TrackObservation {
-	var out []*TrackObservation
-	for si := range ds.Sequences {
-		seq := &ds.Sequences[si]
-		frames := dets[seq.ID]
-		byID := map[int]*TrackObservation{}
-		var order []int
-
-		for fi := range seq.Frames {
-			if !seq.Frames[fi].Labeled {
-				continue
-			}
-			// Track bookkeeping.
-			for _, o := range seq.Frames[fi].Objects {
-				tr, ok := byID[o.TrackID]
-				if !ok {
-					tr = &TrackObservation{
-						SeqID: seq.ID, TrackID: o.TrackID, Class: o.Class,
-						FirstEligible: -1, FrameScores: map[int]float64{},
-					}
-					byID[o.TrackID] = tr
-					order = append(order, o.TrackID)
-				}
-				tr.LastFrame = fi
-				if tr.FirstEligible < 0 && diff.Eligible(o) {
-					tr.FirstEligible = fi
-				}
-			}
-			// Per-class greedy matching, recording matched scores.
-			var fd []geom.Scored
-			if frames != nil && fi < len(frames) {
-				fd = frames[fi]
-			}
-			for _, c := range ds.Classes {
-				matchTracksInFrame(seq.Frames[fi].Objects, fd, c, diff, fi, byID)
-			}
-		}
-		for _, id := range order {
-			out = append(out, byID[id])
-		}
-	}
-	return out
-}
-
-// matchTracksInFrame mirrors matchFrame's greedy matching but records
-// the matched detection score per ground-truth track. Eligibility for
-// delay matching is per-frame: an object currently failing the
-// difficulty filter cannot be "detected" yet, matching the metric's
-// definition over evaluated ground truth.
-func matchTracksInFrame(objects []dataset.Object, dets []geom.Scored, class dataset.Class,
-	diff dataset.Difficulty, frame int, byID map[int]*TrackObservation) {
-
-	var eligible []dataset.Object
-	for _, o := range objects {
-		if o.Class == class && diff.Eligible(o) {
-			eligible = append(eligible, o)
-		}
-	}
-	if len(eligible) == 0 {
-		return
-	}
-	var cls []geom.Scored
-	for _, d := range dets {
-		if d.Class == int(class) {
-			cls = append(cls, d)
-		}
-	}
-	sort.SliceStable(cls, func(i, j int) bool { return cls[i].Score > cls[j].Score })
-	matched := make([]bool, len(eligible))
-	thresh := class.MatchIoU()
-	for _, d := range cls {
-		best, bestIoU := -1, 0.0
-		for i, o := range eligible {
-			if matched[i] {
-				continue
-			}
-			if iou := geom.IoU(d.Box, o.Box); iou > bestIoU {
-				best, bestIoU = i, iou
-			}
-		}
-		if best >= 0 && bestIoU >= thresh {
-			matched[best] = true
-			tr := byID[eligible[best].TrackID]
-			if s, ok := tr.FrameScores[frame]; !ok || d.Score > s {
-				tr.FrameScores[frame] = d.Score
-			}
-		}
-	}
+	_, tracks := pass(ds, dets, diff, 0, true)
+	return tracks
 }
 
 // MeanDelay averages DelayAt(t) per class over the evaluable tracks.
@@ -165,77 +80,28 @@ func MeanDelay(tracks []*TrackObservation, classes []dataset.Class, t float64) (
 	return total / float64(n), perClass
 }
 
-// classIndex supports O(log n) precision queries for one class.
-type classIndex struct {
-	scores []float64 // descending
-	cumTP  []int     // cumTP[i] = TPs among the first i records
-	numGT  int
-}
-
-func newClassIndex(r *ClassRecords) *classIndex {
-	recs := append([]Record(nil), r.Records...)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Score > recs[j].Score })
-	ci := &classIndex{numGT: r.NumGT}
-	ci.scores = make([]float64, len(recs))
-	ci.cumTP = make([]int, len(recs)+1)
-	for i, rec := range recs {
-		ci.scores[i] = rec.Score
-		ci.cumTP[i+1] = ci.cumTP[i]
-		if rec.TP {
-			ci.cumTP[i+1]++
-		}
-	}
-	return ci
-}
-
-// precisionAt returns precision over records with score >= t (1.0 when
-// none qualify, matching PrecisionRecallAt).
-func (ci *classIndex) precisionAt(t float64) float64 {
-	// scores are descending; find count with score >= t.
-	n := sort.Search(len(ci.scores), func(i int) bool { return ci.scores[i] < t })
-	if n == 0 {
-		return 1
-	}
-	return float64(ci.cumTP[n]) / float64(n)
-}
-
-// recallAt returns recall at threshold t.
-func (ci *classIndex) recallAt(t float64) float64 {
-	if ci.numGT == 0 {
-		return 0
-	}
-	n := sort.Search(len(ci.scores), func(i int) bool { return ci.scores[i] < t })
-	return float64(ci.cumTP[n]) / float64(ci.numGT)
-}
-
 // ThresholdForMeanPrecision solves Eq. 5: the smallest threshold t at
 // which the mean precision over classes reaches beta (smallest t gives
 // the highest recall at that precision). When no threshold reaches
 // beta, the threshold with the highest mean precision is returned.
 func ThresholdForMeanPrecision(records map[dataset.Class]*ClassRecords, classes []dataset.Class, beta float64) float64 {
-	indexes := make([]*classIndex, 0, len(classes))
-	var all []float64
-	for _, c := range classes {
-		r := records[c]
-		if r == nil {
-			continue
-		}
-		indexes = append(indexes, newClassIndex(r))
-		for _, rec := range r.Records {
-			all = append(all, rec.Score)
-		}
+	return threshold(indexClasses(records, classes), beta)
+}
+
+// threshold is ThresholdForMeanPrecision over indexed classes.
+func threshold(indexes []*classIndex, beta float64) float64 {
+	n := 0
+	for _, ci := range indexes {
+		n += len(ci.sorted)
 	}
-	if len(all) == 0 {
+	if n == 0 {
 		return 1
 	}
-	sort.Float64s(all)
-	// Deduplicate candidate thresholds.
-	uniq := all[:0]
-	for i, s := range all {
-		if i == 0 || s != uniq[len(uniq)-1] {
-			uniq = append(uniq, s)
-		}
+	all := make([]Record, 0, n)
+	for _, ci := range indexes {
+		all = append(all, ci.sorted...)
 	}
+	all = sortDesc(all)
 	meanPrec := func(t float64) float64 {
 		sum := 0.0
 		for _, ci := range indexes {
@@ -243,8 +109,13 @@ func ThresholdForMeanPrecision(records map[dataset.Class]*ClassRecords, classes 
 		}
 		return sum / float64(len(indexes))
 	}
-	bestT, bestPrec := uniq[len(uniq)-1], -1.0
-	for _, t := range uniq {
+	// The candidate thresholds are the distinct scores, ascending.
+	bestT, bestPrec := all[0].Score, -1.0
+	for i := len(all) - 1; i >= 0; i-- {
+		t := all[i].Score
+		if i+1 < len(all) && all[i+1].Score == t {
+			continue
+		}
 		p := meanPrec(t)
 		if p >= beta {
 			return t
@@ -261,9 +132,14 @@ func ThresholdForMeanPrecision(records map[dataset.Class]*ClassRecords, classes 
 // then per-class mean entry delays are averaged. It returns the mean
 // delay, the per-class delays and the chosen threshold.
 func MeanDelayAtPrecision(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty, beta float64) (float64, map[dataset.Class]float64, float64) {
-	records := Collect(ds, dets, diff)
-	t := ThresholdForMeanPrecision(records, ds.Classes, beta)
-	tracks := CollectTracks(ds, dets, diff)
+	t, tracks := delayAtPrecision(ds, dets, diff, beta)
 	mean, perClass := MeanDelay(tracks, ds.Classes, t)
 	return mean, perClass, t
+}
+
+// delayAtPrecision runs one pass for a delay metric at precision beta:
+// the Eq. 5 threshold and the track observations it applies to.
+func delayAtPrecision(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty, beta float64) (float64, []*TrackObservation) {
+	records, tracks := pass(ds, dets, diff, 0, true)
+	return threshold(indexClasses(records, ds.Classes), beta), tracks
 }

@@ -59,9 +59,7 @@ func MeanExitDelay(tracks []*TrackObservation, classes []dataset.Class, t float6
 // the threshold is chosen by the same Eq. 5 rule, then per-class mean
 // exit delays are averaged.
 func MeanExitDelayAtPrecision(ds *dataset.Dataset, dets Detections, diff dataset.Difficulty, beta float64) (float64, map[dataset.Class]float64, float64) {
-	records := Collect(ds, dets, diff)
-	t := ThresholdForMeanPrecision(records, ds.Classes, beta)
-	tracks := CollectTracks(ds, dets, diff)
+	t, tracks := delayAtPrecision(ds, dets, diff, beta)
 	mean, perClass := MeanExitDelay(tracks, ds.Classes, t)
 	return mean, perClass, t
 }

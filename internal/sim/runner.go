@@ -5,8 +5,6 @@
 package sim
 
 import (
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
@@ -57,27 +55,10 @@ func Run(sys core.System, ds *dataset.Dataset) *RunResult {
 }
 
 // Evaluation bundles the metric outcomes the tables report.
-type Evaluation struct {
-	MAP        float64
-	PerClassAP map[dataset.Class]float64
-
-	// MeanDelay is mD@Beta; NaN when the dataset cannot support delay
-	// measurement (sparse labels, Section 7.1).
-	MeanDelay     float64
-	PerClassDelay map[dataset.Class]float64
-	Threshold     float64
-	Beta          float64
-}
+type Evaluation = metrics.Evaluation
 
 // Evaluate computes mAP and (for densely labeled datasets) mD@beta for a
 // run at the given difficulty.
 func Evaluate(ds *dataset.Dataset, r *RunResult, diff dataset.Difficulty, beta float64) Evaluation {
-	ev := Evaluation{Beta: beta}
-	ev.MAP, ev.PerClassAP = metrics.MAP(ds, r.Detections, diff)
-	if ds.NumLabeledFrames() == ds.NumFrames() && ds.NumFrames() > 0 {
-		ev.MeanDelay, ev.PerClassDelay, ev.Threshold = metrics.MeanDelayAtPrecision(ds, r.Detections, diff, beta)
-	} else {
-		ev.MeanDelay = math.NaN()
-	}
-	return ev
+	return metrics.Evaluate(ds, r.Detections, diff, beta)
 }
