@@ -99,9 +99,10 @@ bench:
 # -benchmem, converted by cmd/benchjson into $(BENCH_JSON) — one record
 # per benchmark with ns/op, B/op, allocs/op and every custom metric.
 # CI uploads the file as an artifact, so per-PR performance history can
-# be diffed by tooling instead of scraped from text.
+# be diffed by tooling instead of scraped from text. Like bench-diff it
+# runs at -cpu 1, so a baseline recorded here is comparable on any host.
 bench-json:
-	@$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... > $(BENCH_OUT) 2>&1; \
+	@$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -cpu 1 ./... > $(BENCH_OUT) 2>&1; \
 		st=$$?; cat $(BENCH_OUT); \
 		if [ $$st -ne 0 ]; then exit $$st; fi; \
 		$(GO) run ./cmd/benchjson -o $(BENCH_JSON) $(BENCH_OUT) && \
@@ -117,10 +118,14 @@ bench-json:
 # iterations and repeats BENCH_COUNT times, comparing by per-benchmark
 # minimum (benchdiff folds duplicates), because single 1x iterations
 # swing tens of percent on loaded CI machines; the committed baselines
-# are recorded the same way.
+# are recorded the same way. Both sides run at -cpu 1 (GOMAXPROCS=1):
+# the fan-out benchmarks (RunParallel/workers=N, ServeBatched,
+# Table3OpsBreakdown, Table7GPUTiming) allocate per worker, so their
+# allocs/op depend on the CPU count, and a fixed count keeps the
+# allocation gate exact on any runner.
 bench-diff:
 	@$(GO) test -run '^$$' -bench . -benchtime $(BENCH_GATE_TIME) -benchmem \
-		-count $(BENCH_COUNT) ./... > bench_head.txt 2>&1; \
+		-cpu 1 -count $(BENCH_COUNT) ./... > bench_head.txt 2>&1; \
 		st=$$?; if [ $$st -ne 0 ]; then cat bench_head.txt; exit $$st; fi; \
 		$(GO) run ./cmd/benchjson -o BENCH_HEAD.json bench_head.txt && \
 		$(GO) run ./cmd/benchdiff -head BENCH_HEAD.json -threshold $(BENCH_THRESHOLD)

@@ -8,19 +8,22 @@ import (
 // Layer micro-benchmarks over one KITTI-sized frame's refinement
 // regions: 12 detection-sized boxes, each expanded by the paper's 30 px
 // margin, which matches the ~11.6 boxes per frame the CaTDet step adds
-// to its mask on the KITTI-sim preset.
+// to its mask on the KITTI-sim preset. The tail benchmark prices a
+// crowded 40-box frame.
 
 const (
 	benchW, benchH = 1242, 375
 	benchMargin    = 30
 	benchBoxes     = 12
+	benchTailBoxes = 40
 )
 
-// benchRegions returns the seeded frame's boxes and the same boxes
-// expanded by the margin.
-func benchRegions() (boxes, regions []Box) {
+// benchRegions returns the seeded frame's n boxes and the same boxes
+// expanded by the margin. The seed is fixed, so a longer frame extends
+// a shorter one.
+func benchRegions(n int) (boxes, regions []Box) {
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < benchBoxes; i++ {
+	for i := 0; i < n; i++ {
 		w, h := 30+rng.Float64()*150, 25+rng.Float64()*100
 		x, y := rng.Float64()*(benchW-w), 120+rng.Float64()*(benchH-120-h)
 		b := NewBox(x, y, x+w, y+h)
@@ -42,7 +45,7 @@ var (
 )
 
 func BenchmarkMaskAddBox(b *testing.B) {
-	_, regions := benchRegions()
+	_, regions := benchRegions(benchBoxes)
 	m := NewMask(benchW, benchH, DefaultCell)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -55,7 +58,7 @@ func BenchmarkMaskAddBox(b *testing.B) {
 }
 
 func BenchmarkMaskBoxCoverage(b *testing.B) {
-	boxes, regions := benchRegions()
+	boxes, regions := benchRegions(benchBoxes)
 	m := NewMask(benchW, benchH, DefaultCell)
 	m.AddBoxes(regions[:benchBoxes/2], 0)
 	b.ReportAllocs()
@@ -67,18 +70,30 @@ func BenchmarkMaskBoxCoverage(b *testing.B) {
 	}
 }
 
-func BenchmarkGreedyMerge(b *testing.B) {
-	_, regions := benchRegions()
+func BenchmarkGreedyMerge(b *testing.B) { benchGreedyMerge(b, benchBoxes) }
+
+func BenchmarkGreedyMergeTail(b *testing.B) { benchGreedyMerge(b, benchTailBoxes) }
+
+// benchGreedyMerge merges n seeded regions per op and reports the cost
+// calls per op, a host-independent count of the merge's work.
+func benchGreedyMerge(b *testing.B, n int) {
+	_, regions := benchRegions(n)
+	calls := 0
+	cost := func(bx Box) float64 {
+		calls++
+		return launchCost(bx)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkMerged = GreedyMerge(regions, launchCost)
+		sinkMerged = GreedyMerge(regions, cost)
 	}
+	b.ReportMetric(float64(calls)/float64(b.N), "cost_calls/op")
 }
 
 // The mask's per-box work allocates nothing.
 func TestMaskAllocFree(t *testing.T) {
-	boxes, regions := benchRegions()
+	boxes, regions := benchRegions(benchBoxes)
 	m := NewMask(benchW, benchH, DefaultCell)
 	if n := testing.AllocsPerRun(50, func() {
 		for _, r := range regions {
@@ -99,7 +114,7 @@ func TestMaskAllocFree(t *testing.T) {
 // GreedyMerge allocates its result and nothing else up to 64 boxes; past
 // that, the cached costs move to the heap too.
 func TestGreedyMergeAllocs(t *testing.T) {
-	_, regions := benchRegions()
+	_, regions := benchRegions(benchBoxes)
 	many := make([]Box, 65)
 	for i := range many {
 		many[i] = NewBox(float64(i*20), 0, float64(i*20+10), 10)

@@ -100,10 +100,10 @@ func (b Box) Expand(margin float64) Box {
 // empty (zero area) when the boxes do not overlap.
 func (b Box) Intersect(o Box) Box {
 	r := Box{
-		X1: math.Max(b.X1, o.X1),
-		Y1: math.Max(b.Y1, o.Y1),
-		X2: math.Min(b.X2, o.X2),
-		Y2: math.Min(b.Y2, o.Y2),
+		X1: fmax(b.X1, o.X1),
+		Y1: fmax(b.Y1, o.Y1),
+		X2: fmin(b.X2, o.X2),
+		Y2: fmin(b.Y2, o.Y2),
 	}
 	if r.X1 >= r.X2 || r.Y1 >= r.Y2 {
 		return Box{}
@@ -119,23 +119,52 @@ func (b Box) Union(o Box) Box {
 	if o.Empty() {
 		return b
 	}
+	return hull(b, o)
+}
+
+// hull is Union for two non-empty boxes, whose union is non-empty too.
+func hull(b, o Box) Box {
 	return Box{
-		X1: math.Min(b.X1, o.X1),
-		Y1: math.Min(b.Y1, o.Y1),
-		X2: math.Max(b.X2, o.X2),
-		Y2: math.Max(b.Y2, o.Y2),
+		X1: fmin(b.X1, o.X1),
+		Y1: fmin(b.Y1, o.Y1),
+		X2: fmax(b.X2, o.X2),
+		Y2: fmax(b.Y2, o.Y2),
 	}
 }
 
 // Clip returns the box clipped to the frame [0,w) x [0,h).
 func (b Box) Clip(w, h float64) Box {
-	r := Box{
-		X1: math.Max(0, math.Min(b.X1, w)),
-		Y1: math.Max(0, math.Min(b.Y1, h)),
-		X2: math.Max(0, math.Min(b.X2, w)),
-		Y2: math.Max(0, math.Min(b.Y2, h)),
+	return Box{
+		X1: fmax(0, fmin(b.X1, w)),
+		Y1: fmax(0, fmin(b.Y1, h)),
+		X2: fmax(0, fmin(b.X2, w)),
+		Y2: fmax(0, fmin(b.Y2, h)),
 	}
-	return r
+}
+
+// fmin and fmax return exactly what math.Min and math.Max return, bit
+// for bit, without the call: math.Max is an assembly call on amd64, and
+// Union, Intersect and Clip sit inside the greedy merge and the mask
+// loops. The builtin min and max compile to branch-free code and agree
+// with math.Min and math.Max, signed zeros and infinities included,
+// unless an operand is NaN: then they return NaN where
+// math.Min(NaN, -Inf) and math.Max(NaN, +Inf) return the infinity, and
+// min flips the sign of the NaN it propagates. NaN operands therefore
+// take the math call, behind a branch that real boxes never take
+// (comparing the operands instead would branch unpredictably). Both
+// are symmetric in the operands, bit for bit, and so is hull.
+func fmin(x, y float64) float64 {
+	if x == x && y == y {
+		return min(x, y)
+	}
+	return math.Min(x, y)
+}
+
+func fmax(x, y float64) float64 {
+	if x == x && y == y {
+		return max(x, y)
+	}
+	return math.Max(x, y)
 }
 
 // Contains reports whether the point (x, y) lies inside the box.

@@ -13,9 +13,12 @@ type CostFunc func(b Box) float64
 // individual costs. Merging repeats until no profitable pair remains.
 // The input is not modified; the result holds the merged regions.
 //
-// Each live box's cost is computed once and kept beside it, so a round
-// calls cost only for the candidate unions. Up to 64 boxes the costs
-// live on the stack and the result slice is the only allocation.
+// Each live box's cost, and the cost of each live pair's union, is
+// computed once and cached, so a round scans cached values and a merge
+// reprices only the merged box's pairs: O(n²) cost calls in all
+// instead of O(n²) per round. Up to 64 boxes the caches live on the
+// stack and the result slice is the only allocation; past that, the
+// costs and the pair matrix share one heap slab.
 func GreedyMerge(boxes []Box, cost CostFunc) []Box {
 	out := make([]Box, 0, len(boxes))
 	for _, b := range boxes {
@@ -23,23 +26,62 @@ func GreedyMerge(boxes []Box, cost CostFunc) []Box {
 			out = append(out, b)
 		}
 	}
-	var buf [64]float64
-	c := buf[:0]
-	if len(out) > len(buf) {
-		c = make([]float64, 0, len(out))
+	n := len(out)
+	switch {
+	case n < 2:
+		return out
+	case n <= 16:
+		var c [16]float64
+		var u [16 * 16]float64
+		return greedyMerge(out, cost, c[:n], u[:n*n])
+	case n <= 64:
+		return greedyMerge64(out, cost)
+	default:
+		slab := make([]float64, n+n*n)
+		return greedyMerge(out, cost, slab[:n], slab[n:])
 	}
-	for _, b := range out {
-		c = append(c, cost(b))
+}
+
+// greedyMerge64 merges 17 to 64 boxes with the caches on its own stack
+// frame, so only frames this crowded pay for zeroing the 32 KB matrix
+// and GreedyMerge's frame (and the stack of every goroutine that calls
+// it) stays small.
+//
+//go:noinline
+func greedyMerge64(out []Box, cost CostFunc) []Box {
+	var c [64]float64
+	var u [64 * 64]float64
+	return greedyMerge(out, cost, c[:len(out)], u[:len(out)*len(out)])
+}
+
+// greedyMerge runs the merge rounds over the non-empty boxes in out,
+// with c (len(out)) caching each box's cost and the upper triangle of
+// the row-major len(out)-square u caching the cost of the union of
+// out[i] and out[j] for i < j. Unions of non-empty boxes are non-empty,
+// so hull stands in for Union throughout. hull is commutative bit for
+// bit and cost is pure, so every cached value equals what an uncached
+// scan would compute at the pair's current positions, and the scan
+// below (same gain expression, i<j order and strict >) picks the same
+// pair.
+func greedyMerge(out []Box, cost CostFunc, c, u []float64) []Box {
+	stride := len(out)
+	for i, b := range out {
+		c[i] = cost(b)
+	}
+	for i := range out {
+		for j := i + 1; j < len(out); j++ {
+			u[i*stride+j] = cost(hull(out[i], out[j]))
+		}
 	}
 	for {
 		bestI, bestJ := -1, -1
-		bestGain, bestCost := 0.0, 0.0
-		for i := 0; i < len(out); i++ {
-			for j := i + 1; j < len(out); j++ {
-				mc := cost(out[i].Union(out[j]))
-				gain := c[i] + c[j] - mc
+		bestGain := 0.0
+		for i := range c {
+			ci, row := c[i], u[i*stride:i*stride+len(c)]
+			for j := i + 1; j < len(row); j++ {
+				gain := ci + c[j] - row[j]
 				if gain > bestGain {
-					bestGain, bestCost, bestI, bestJ = gain, mc, i, j
+					bestGain, bestI, bestJ = gain, i, j
 				}
 			}
 		}
@@ -47,10 +89,31 @@ func GreedyMerge(boxes []Box, cost CostFunc) []Box {
 			return out
 		}
 		last := len(out) - 1
-		out[bestI], c[bestI] = out[bestI].Union(out[bestJ]), bestCost
+		out[bestI], c[bestI] = hull(out[bestI], out[bestJ]), u[bestI*stride+bestJ]
+		// The last box moves into bestJ's slot, taking its pair costs
+		// with it; then the merged box's pairs are repriced.
 		out[bestJ], c[bestJ] = out[last], c[last]
+		for k := 0; k < last; k++ {
+			if k != bestJ {
+				u[pair(k, bestJ, stride)] = u[pair(k, last, stride)]
+			}
+		}
 		out, c = out[:last], c[:last]
+		for k := range out {
+			if k != bestI {
+				u[pair(k, bestI, stride)] = cost(hull(out[k], out[bestI]))
+			}
+		}
 	}
+}
+
+// pair returns the index of the unordered pair {i, j} in the upper
+// triangle of a row-major matrix with the given stride.
+func pair(i, j, stride int) int {
+	if i > j {
+		i, j = j, i
+	}
+	return i*stride + j
 }
 
 // UnionArea returns the exact area of the union of the boxes via a sweep

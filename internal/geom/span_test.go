@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -278,45 +279,98 @@ func TestMaskNaNBoxMissesFrame(t *testing.T) {
 	}
 }
 
+// mergeCosts are the cost functions the merge differential test runs
+// under: launch-like, flat (every pair's gain ties), pure area and a
+// concave cost.
+var mergeCosts = []struct {
+	name string
+	cost CostFunc
+}{
+	{"launch", func(b Box) float64 { return 0.5 + b.Area()/1e5 }},
+	{"flat", func(Box) float64 { return 1 }},
+	{"area", func(b Box) float64 { return b.Area() }},
+	{"sqrt", func(b Box) float64 { return 3 + math.Sqrt(b.Area()) }},
+}
+
+// checkMergeMatchesReference merges boxes with GreedyMerge and with the
+// uncached reference and requires the same regions in the same order,
+// bit for bit, and the input untouched.
+func checkMergeMatchesReference(t *testing.T, label string, boxes []Box, cost CostFunc) bool {
+	t.Helper()
+	in := append([]Box(nil), boxes...)
+	got, want := GreedyMerge(boxes, cost), refGreedyMerge(append([]Box(nil), boxes...), cost)
+	for i := range boxes {
+		if !sameBits(boxes[i], in[i]) {
+			t.Logf("%s: input box %d changed to %v", label, i, boxes[i])
+			return false
+		}
+	}
+	if len(got) != len(want) {
+		t.Logf("%s: %d boxes merged to %d, reference %d", label, len(boxes), len(got), len(want))
+		return false
+	}
+	for i := range got {
+		if !sameBits(got[i], want[i]) {
+			t.Logf("%s: region %d = %v, reference %v", label, i, got[i], want[i])
+			return false
+		}
+	}
+	return true
+}
+
+// mergeInput draws n boxes, a tenth of them empty; with special set,
+// each coordinate is ±Inf or NaN one time in eight.
+func mergeInput(rng *rand.Rand, n int, special bool) []Box {
+	boxes := make([]Box, n)
+	for i := range boxes {
+		if rng.Intn(10) == 0 {
+			continue // empty boxes are dropped
+		}
+		b := randBox(uint16(rng.Uint32()), uint16(rng.Uint32()), uint16(rng.Uint32()), uint16(rng.Uint32()))
+		if special {
+			for _, v := range []*float64{&b.X1, &b.Y1, &b.X2, &b.Y2} {
+				if rng.Intn(8) == 0 {
+					*v = [...]float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.Intn(3)]
+				}
+			}
+		}
+		boxes[i] = b
+	}
+	return boxes
+}
+
 // Property: GreedyMerge makes every decision the uncached reference
-// makes, for box counts on both sides of the 64-box stack buffer and for
-// a flat cost under which every pair's gain ties.
+// makes: for box counts on both sides of the 16- and 64-box stack
+// buffers, for costs under which every gain ties (flat cost, identical
+// boxes, evenly spaced equal boxes), and for boxes with ±Inf and NaN
+// coordinates, whose NaN costs never win a round.
 func TestGreedyMergeMatchesReference(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cost CostFunc
-	}{
-		{"launch", func(b Box) float64 { return 0.5 + b.Area()/1e5 }},
-		{"flat", func(Box) float64 { return 1 }},
-		{"area", func(b Box) float64 { return b.Area() }},
-		{"sqrt", func(b Box) float64 { return 3 + math.Sqrt(b.Area()) }},
-	} {
+	for _, tc := range mergeCosts {
 		name, cost := tc.name, tc.cost
 		f := func(seed int64, n uint8) bool {
 			rng := rand.New(rand.NewSource(seed))
-			boxes := make([]Box, int(n)%100)
-			for i := range boxes {
-				if rng.Intn(10) == 0 {
-					continue // empty boxes are dropped
-				}
-				boxes[i] = randBox(uint16(rng.Uint32()), uint16(rng.Uint32()), uint16(rng.Uint32()), uint16(rng.Uint32()))
-			}
-			in := append([]Box(nil), boxes...)
-			got, want := GreedyMerge(boxes, cost), refGreedyMerge(in, cost)
-			if len(got) != len(want) {
-				t.Logf("%s: %d boxes merged to %d, reference %d", name, len(boxes), len(got), len(want))
-				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Logf("%s: region %d = %v, reference %v", name, i, got[i], want[i])
-					return false
-				}
-			}
-			return true
+			return checkMergeMatchesReference(t, name, mergeInput(rng, int(n)%100, false), cost)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		for _, n := range []int{0, 1, 2, 15, 16, 17, 63, 64, 65, 99} {
+			for _, special := range []bool{false, true} {
+				label := fmt.Sprintf("%s, %d boxes, special %v", name, n, special)
+				if !checkMergeMatchesReference(t, label, mergeInput(rng, n, special), cost) {
+					t.FailNow()
+				}
+			}
+			same, row := make([]Box, n), make([]Box, n)
+			for i := range same {
+				same[i] = NewBox(10, 20, 50, 60)
+				row[i] = NewBox(float64(i*50), 0, float64(i*50+40), 40)
+			}
+			if !checkMergeMatchesReference(t, fmt.Sprintf("%s, %d identical boxes", name, n), same, cost) ||
+				!checkMergeMatchesReference(t, fmt.Sprintf("%s, %d evenly spaced boxes", name, n), row, cost) {
+				t.FailNow()
+			}
 		}
 	}
 }

@@ -227,11 +227,9 @@ func TestFullCascadeFrame(t *testing.T) {
 	}
 }
 
-// BenchmarkMergeRegions prices one KITTI frame's refinement regions: 12
-// seeded detection-sized boxes, each expanded by the 30 px margin.
-func BenchmarkMergeRegions(b *testing.B) {
-	m := Default()
-	cost := ops.MustCostModel("resnet50")
+// benchFrame returns one KITTI frame's refinement regions: 12 seeded
+// detection-sized boxes, each expanded by the 30 px margin.
+func benchFrame() []geom.Box {
 	rng := rand.New(rand.NewSource(1))
 	regions := make([]geom.Box, 12)
 	for i := range regions {
@@ -239,6 +237,18 @@ func BenchmarkMergeRegions(b *testing.B) {
 		x, y := rng.Float64()*(ops.KITTIWidth-w), 120+rng.Float64()*(ops.KITTIHeight-120-h)
 		regions[i] = geom.NewBox(x, y, x+w, y+h).Expand(30)
 	}
+	return regions
+}
+
+// benchProposals is the RoI count the KITTI benchmark frame is priced
+// with.
+const benchProposals = 40
+
+// BenchmarkMergeRegions prices one KITTI frame's refinement regions.
+func BenchmarkMergeRegions(b *testing.B) {
+	m := Default()
+	cost := ops.MustCostModel("resnet50")
+	regions := benchFrame()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -246,5 +256,34 @@ func BenchmarkMergeRegions(b *testing.B) {
 	}
 }
 
-// sinkMerged keeps the compiler from discarding the benchmarked call.
-var sinkMerged []geom.Box
+// BenchmarkCaTDetFrame prices one whole KITTI CaTDet frame: the merge
+// plus the refinement launches and the proposal network's launch.
+func BenchmarkCaTDetFrame(b *testing.B) {
+	m := Default()
+	cost := ops.MustCostModel("resnet50")
+	proposal := ops.MustCostModel("resnet10a").FullFrameOps(ops.KITTIWidth, ops.KITTIHeight)
+	regions := benchFrame()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkFrame = m.CaTDetFrame(proposal, regions, ops.KITTIWidth, ops.KITTIHeight, cost, benchProposals)
+	}
+}
+
+// Pricing a frame allocates only the merged region slice.
+func TestCaTDetFrameAllocs(t *testing.T) {
+	m := Default()
+	cost := ops.MustCostModel("resnet50")
+	regions := benchFrame()
+	if n := testing.AllocsPerRun(50, func() {
+		m.CaTDetFrame(1e10, regions, ops.KITTIWidth, ops.KITTIHeight, cost, benchProposals)
+	}); n != 1 {
+		t.Fatalf("CaTDetFrame: %v allocs per frame, want 1", n)
+	}
+}
+
+// Sinks keep the compiler from discarding the benchmarked calls.
+var (
+	sinkMerged []geom.Box
+	sinkFrame  FrameTime
+)

@@ -26,6 +26,22 @@ type FasterRCNN struct {
 	// profile. Precomputed, it is read-only and safe to share across
 	// the serving loop's parallel step workers.
 	rpn Net
+
+	// stride and headOps are the trunk's OutputStride and the unscaled
+	// per-RoI head cost, fixed by the backbone at construction. feat
+	// holds the unscaled trunk+RPN sum at the resolution of each of the
+	// first len(feat) calibration anchors, the frame sizes the zoo's
+	// models are priced at; nfeat counts the filled entries.
+	stride  int
+	headOps float64
+	feat    [2]featSum
+	nfeat   int
+}
+
+// featSum is the unscaled trunk+RPN operation count at one resolution.
+type featSum struct {
+	w, h int
+	ops  float64
 }
 
 // NewFasterRCNN builds an uncalibrated cost model (scales = 1) with the
@@ -38,6 +54,8 @@ func NewFasterRCNN(b Backbone) *FasterRCNN {
 		featScale:    1,
 		headScale:    1,
 		rpn:          rpnNet(b),
+		stride:       b.Trunk.OutputStride(),
+		headOps:      b.Head.Ops(b.RoISize, b.RoISize),
 	}
 }
 
@@ -55,15 +73,26 @@ func rpnNet(b Backbone) Net {
 // FeatureOps returns the area-dependent operations (trunk + RPN) for a
 // full w-by-h frame, after calibration.
 func (m *FasterRCNN) FeatureOps(w, h int) float64 {
+	return m.featureOps(w, h) * m.featScale
+}
+
+// featureOps returns the unscaled trunk+RPN sum, stored for the
+// calibration anchors' resolutions and walked layer by layer for any
+// other.
+func (m *FasterRCNN) featureOps(w, h int) float64 {
+	for _, f := range m.feat[:m.nfeat] {
+		if f.w == w && f.h == h {
+			return f.ops
+		}
+	}
 	trunk := m.Backbone.Trunk.Ops(w, h)
-	stride := m.Backbone.Trunk.OutputStride()
-	rpn := m.rpn.Ops((w+stride-1)/stride, (h+stride-1)/stride)
-	return (trunk + rpn) * m.featScale
+	rpn := m.rpn.Ops((w+m.stride-1)/m.stride, (h+m.stride-1)/m.stride)
+	return trunk + rpn
 }
 
 // HeadOpsPerProposal returns the per-RoI head cost after calibration.
 func (m *FasterRCNN) HeadOpsPerProposal() float64 {
-	return m.Backbone.Head.Ops(m.Backbone.RoISize, m.Backbone.RoISize) * m.headScale
+	return m.headOps * m.headScale
 }
 
 // HeadOps returns the head cost for n proposals.
@@ -101,8 +130,20 @@ func (m *FasterRCNN) RegionOps(w, h int, coveredFrac float64, nProposals int) fl
 // which is possible because the head cost does not vary with resolution.
 //
 // Anchors are expressed in raw operations for full-frame inference at the
-// model's configured proposal count.
+// model's configured proposal count. Calibrate also stores the unscaled
+// trunk+RPN sum at the first two anchors' resolutions, so FeatureOps at
+// those sizes skips the layer walk.
 func (m *FasterRCNN) Calibrate(anchors []OpsAnchor) {
+	m.nfeat = 0
+	for _, a := range anchors[:min(len(anchors), len(m.feat))] {
+		m.feat[m.nfeat] = featSum{a.W, a.H, m.featureOps(a.W, a.H)}
+		m.nfeat++
+	}
+	m.fit(anchors)
+}
+
+// fit sets featScale and headScale from the anchors; see Calibrate.
+func (m *FasterRCNN) fit(anchors []OpsAnchor) {
 	m.featScale, m.headScale = 1, 1
 	switch len(anchors) {
 	case 0:
@@ -120,13 +161,13 @@ func (m *FasterRCNN) Calibrate(anchors []OpsAnchor) {
 		fb := m.FeatureOps(b.W, b.H)
 		head := m.HeadOps(m.NumProposals)
 		if fa == fb || head == 0 {
-			m.Calibrate(anchors[:1])
+			m.fit(anchors[:1])
 			return
 		}
 		fs := (b.Ops - a.Ops) / (fb - fa)
 		hs := (a.Ops - fs*fa) / head
 		if fs <= 0 || hs <= 0 {
-			m.Calibrate(anchors[:1])
+			m.fit(anchors[:1])
 			return
 		}
 		m.featScale, m.headScale = fs, hs

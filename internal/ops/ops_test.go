@@ -196,3 +196,28 @@ func TestCalibrateNoAnchorsIdentity(t *testing.T) {
 		t.Fatalf("no-anchor calibration changed ops %v -> %v", before, after)
 	}
 }
+
+// BenchmarkRegionOps prices one ResNet-50 selected-region pass at the
+// KITTI resolution, the call CaTDet frame pricing makes per launch.
+func BenchmarkRegionOps(b *testing.B) {
+	m := MustCostModel("resnet50")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkOps += m.RegionOps(KITTIWidth, KITTIHeight, 0.3, 40)
+	}
+}
+
+// sinkOps keeps the compiler from discarding the benchmarked call.
+var sinkOps float64
+
+// RegionOps sits in the per-frame pricing loop and allocates nothing,
+// at an anchor resolution and off it.
+func TestRegionOpsAllocFree(t *testing.T) {
+	m := MustCostModel("resnet50")
+	for _, res := range [][2]int{{KITTIWidth, KITTIHeight}, {640, 480}} {
+		if n := testing.AllocsPerRun(50, func() { m.RegionOps(res[0], res[1], 0.3, 40) }); n != 0 {
+			t.Fatalf("RegionOps at %dx%d: %v allocs, want 0", res[0], res[1], n)
+		}
+	}
+}
