@@ -81,13 +81,18 @@ cover:
 # target for $(FUZZ_TIME): Server.Submit with adversarial (stream,
 # frame, arriveAt) triples under every reconnect x poison policy
 # combination, then the mask's word-level span arithmetic against the
-# cell-at-a-time reference on arbitrary boxes and cell sizes. CI runs
-# this as a smoke pass; raise FUZZ_TIME locally for a real hunt.
+# cell-at-a-time reference on arbitrary boxes and cell sizes, then the
+# detector's prefix-folded, cached draws against the one-hashKey-per-draw
+# reference on arbitrary frame indices, track IDs, object and mask boxes
+# and profiles. CI runs this as a smoke pass; raise FUZZ_TIME locally
+# for a real hunt.
 fuzz:
 	$(GO) test ./internal/serve -run '^FuzzSubmit$$' -fuzz '^FuzzSubmit$$' \
 		-fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/geom -run '^FuzzMaskSpans$$' -fuzz '^FuzzMaskSpans$$' \
 		-fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/detector -run '^FuzzPerceiveMatchesReference$$' \
+		-fuzz '^FuzzPerceiveMatchesReference$$' -fuzztime $(FUZZ_TIME)
 
 # One iteration of every benchmark: a smoke pass that also emits the
 # headline reproduction metrics (b.ReportMetric) into $(BENCH_OUT).

@@ -1,8 +1,8 @@
 package catdet
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, plus ablation benches for the design choices
-// DESIGN.md calls out. Each benchmark regenerates its experiment on a
+// evaluation section, plus ablation benches for the tracker design
+// choices sim.Ablations evaluates. Each benchmark regenerates its experiment on a
 // reduced (but statistically stable) world and reports the headline
 // quantities via b.ReportMetric, so `go test -bench=.` doubles as a
 // compact reproduction run. The full-scale tables are produced by
@@ -397,7 +397,7 @@ func BenchmarkServeFair(b *testing.B) {
 	b.ReportMetric(res.Fleet.Throughput, "served_fps")
 }
 
-// --- Ablation benches (design choices from DESIGN.md §4) ---
+// --- Ablation benches (the tracker design choices of sim.Ablations) ---
 
 func ablationRun(b *testing.B, cfg core.Config) (mapHard float64, gops float64) {
 	ds, _ := benchData()

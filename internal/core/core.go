@@ -253,8 +253,8 @@ type CaTDet struct {
 	h   int
 
 	// Per-frame scratch reused across Steps: the region occupancy mask
-	// and the single-source mask of the Table 3 attribution pass (both
-	// word-zeroed between uses), the region list returned via
+	// and the tracker-only mask that Step ORs into it (both word-zeroed
+	// between uses), the region list returned via
 	// FrameOutput.Regions, the thresholded proposals, the tracker's
 	// predictions and the confident detections fed back to it.
 	mask    *geom.Mask
@@ -311,31 +311,41 @@ func (s *CaTDet) Step(f detector.Frame) FrameOutput {
 	proposals := filterScored(s.props[:0], prop.Detections, s.Cfg.CThresh)
 	s.props = proposals
 
+	// Each source is rasterized once, into its own mask, so the
+	// attribution accounting of Table 3 — the cost if that source had
+	// been the only supplier of regions; overlap makes the two sum to
+	// more than the actual refinement cost — reads its covered fraction
+	// directly. The proposals go straight into the region mask, which
+	// then takes the tracker's mask by a word-wise OR.
 	margin := s.Cfg.margin()
-	s.mask = geom.ReuseMask(s.mask, float64(f.Width), float64(f.Height), s.Cfg.MaskCell)
+	w, h := float64(f.Width), float64(f.Height)
+	s.mask = geom.ReuseMask(s.mask, w, h, s.Cfg.MaskCell)
 	mask := s.mask
-	frame := geom.NewBox(0, 0, float64(f.Width), float64(f.Height))
+	frame := geom.NewBox(0, 0, w, h)
 	regions := s.regions[:0]
 	for _, p := range proposals {
 		r := p.Box.Expand(margin).Intersect(frame)
 		mask.AddBox(r)
 		regions = append(regions, r)
 	}
-	for _, p := range tracked {
-		r := p.Box.Expand(margin).Intersect(frame)
-		mask.AddBox(r)
-		regions = append(regions, r)
+	var fromProposal, fromTracker float64
+	if len(proposals) > 0 {
+		fromProposal = s.Refinement.Cost.RegionOps(f.Width, f.Height, mask.CoveredFraction(), len(proposals))
+	}
+	if len(tracked) > 0 {
+		s.srcMask = geom.ReuseMask(s.srcMask, w, h, s.Cfg.MaskCell)
+		for _, p := range tracked {
+			r := p.Box.Expand(margin).Intersect(frame)
+			s.srcMask.AddBox(r)
+			regions = append(regions, r)
+		}
+		fromTracker = s.Refinement.Cost.RegionOps(f.Width, f.Height, s.srcMask.CoveredFraction(), len(tracked))
+		mask.Or(s.srcMask)
 	}
 	s.regions = regions
 	nProps := len(proposals) + len(tracked)
 	ref := s.Refinement.DetectRegions(f, mask, nProps)
 	dets := scoredOf(ref.Detections)
-
-	// Attribution accounting (Table 3): cost if each source had been the
-	// only supplier of regions. Overlap makes these sum to more than the
-	// actual refinement cost.
-	fromTracker := s.sourceOps(f, tracked, margin)
-	fromProposal := s.sourceOps(f, proposals, margin)
 
 	// Temporal feedback: confident detections update the tracker.
 	s.trackIn = geom.FilterScoreAppend(s.trackIn[:0], dets, s.Cfg.TrackThresh)
@@ -353,18 +363,4 @@ func (s *CaTDet) Step(f detector.Frame) FrameOutput {
 		Coverage:     ref.Coverage,
 		Regions:      regions,
 	}
-}
-
-// sourceOps prices the refinement work one proposal source would cause
-// alone.
-func (s *CaTDet) sourceOps(f detector.Frame, boxes []geom.Scored, margin float64) float64 {
-	if len(boxes) == 0 {
-		return 0
-	}
-	s.srcMask = geom.ReuseMask(s.srcMask, float64(f.Width), float64(f.Height), s.Cfg.MaskCell)
-	m := s.srcMask
-	for _, b := range boxes {
-		m.AddBox(b.Box.Expand(margin))
-	}
-	return s.Refinement.Cost.RegionOps(f.Width, f.Height, m.CoveredFraction(), len(boxes))
 }

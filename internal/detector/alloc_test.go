@@ -62,33 +62,11 @@ func TestPerceiveMatchesRematchOnCrowdedFrame(t *testing.T) {
 	for fi := 0; fi < 25; fi++ {
 		f := crowdedFrame(fi)
 
-		// Rebuild the raw candidate set exactly as perceive does, via
-		// the exported entry point plus the reference tail: perceive is
-		// deterministic per (model, seq, frame), so running DetectFull
-		// twice sees the same raw candidates.
+		// Rebuild the raw candidate set with the reference arithmetic
+		// (reference_test.go): perceive is deterministic per (model,
+		// seq, frame), so it sees the same raw candidates.
 		got := d.DetectFull(f).Detections
-
-		p := d.Profile
-		modelH := hashString(p.Name)
-		seqH := hashString(f.SeqID)
-		frameKey := hashKey(modelH, seqH, uint64(f.Index))
-		var raw []Detection
-		for _, o := range f.Objects {
-			z := p.logitFor(o)
-			z += p.TrackBias * normal(hashKey(modelH, seqH, uint64(o.TrackID), tagBias))
-			prob := p.MaxRecall * sigmoid(z)
-			key := hashKey(modelH, seqH, uint64(f.Index), uint64(o.TrackID), tagDetect)
-			if uniform(key) >= prob {
-				continue
-			}
-			box, jitterQ := d.jitter(o, modelH, seqH, uint64(f.Index))
-			conf := sigmoid(p.ConfGain*z + p.ConfNoise*normal(hashKey(key, tagConf)) - p.LocConfCoupling*jitterQ)
-			raw = append(raw, Detection{
-				Scored:  geom.Scored{Box: box, Score: conf, Class: int(o.Class)},
-				TrackID: o.TrackID,
-			})
-		}
-		raw = d.appendFalsePositives(raw, f, nil, 0, frameKey)
+		raw := refRaw(d, f, nil, 0)
 		want := rematchNMS(raw)
 
 		if len(got) != len(want) {
@@ -118,6 +96,28 @@ func TestDetectAllocBudget(t *testing.T) {
 	})
 	if n > 4 {
 		t.Errorf("DetectFull allocates %v per frame after warm-up, budget is 4", n)
+	}
+}
+
+// TestDetectRegionsAllocBudget is TestDetectAllocBudget for the
+// region-restricted path, with the same budget, on the crowded frame
+// under a mask covering most of its objects.
+func TestDetectRegionsAllocBudget(t *testing.T) {
+	d := MustNew("resnet50")
+	f := crowdedFrame(0)
+	mask := geom.NewMask(float64(f.Width), float64(f.Height), geom.DefaultCell)
+	for i, o := range f.Objects {
+		if i%4 != 0 {
+			mask.AddBox(o.Box.Expand(30))
+		}
+	}
+	d.DetectRegions(f, mask, 30) // warm the scratch buffers
+	n := testing.AllocsPerRun(100, func() {
+		f.Index = (f.Index + 1) % 50
+		d.DetectRegions(f, mask, 30)
+	})
+	if n > 4 {
+		t.Errorf("DetectRegions allocates %v per frame after warm-up, budget is 4", n)
 	}
 }
 

@@ -69,12 +69,79 @@ type Detector struct {
 		scored []geom.Scored
 		nms    geom.NMSBuffer
 	}
+	draws drawCache
+}
+
+// biasSlots is the size of the direct-mapped per-track bias table.
+const biasSlots = 32
+
+// drawCache holds pure values perceive would otherwise recompute for
+// every object of every frame. Each is keyed on everything it depends
+// on, so a hit returns exactly the value a recomputation would:
+//
+//   - prefix is hashKey's state after folding hashString(Profile.Name)
+//     and hashString(SeqID), keyed on both strings. Profile is an
+//     exported field a caller may overwrite after New, so the key is
+//     compared on every invocation rather than fixed at construction.
+//   - bias holds the unscaled track-bias draw
+//     normal(hashKey(modelH, seqH, id, tagBias)) per track ID, slot
+//     id mod biasSlots, valid when its biasValid bit is set. It depends
+//     on the (model, sequence) pair only, so a new prefix clears it.
+//     TrackBias scales the draw outside the table, so ScaleNoise keeps
+//     every hit exact.
+//   - logMid is math.Log(midpoint), keyed on the Midpoint bits.
+type drawCache struct {
+	name, seq string
+	prefix    uint64
+	primed    bool
+
+	biasValid uint32
+	biasID    [biasSlots]int
+	bias      [biasSlots]float64
+
+	midpoint, logMid float64
+	midPrimed        bool
+}
+
+// prefixFor returns hashKey's state after folding the model and
+// sequence names, recomputing it and clearing the bias table when
+// either name differs from the cached pair.
+func (c *drawCache) prefixFor(model, seq string) uint64 {
+	if !c.primed || c.name != model || c.seq != seq {
+		c.name, c.seq, c.primed = model, seq, true
+		c.prefix = mix(mix(hashSeed, hashString(model)), hashString(seq))
+		c.biasValid = 0
+	}
+	return c.prefix
+}
+
+// biasDraw returns normal(hashKey(modelH, seqH, id, tagBias)) for the
+// (model, sequence) pair whose state prefixFor last returned.
+func (c *drawCache) biasDraw(prefix uint64, id int) float64 {
+	slot := uint(id) % biasSlots
+	bit := uint32(1) << slot
+	if c.biasValid&bit != 0 && c.biasID[slot] == id {
+		return c.bias[slot]
+	}
+	v := normal(mix(mix(prefix, uint64(id)), tagBias))
+	c.biasValid |= bit
+	c.biasID[slot], c.bias[slot] = id, v
+	return v
+}
+
+// logMidpoint returns math.Log(midpoint), recomputing it only when the
+// midpoint's bits differ from the cached one.
+func (c *drawCache) logMidpoint(midpoint float64) float64 {
+	if !c.midPrimed || math.Float64bits(c.midpoint) != math.Float64bits(midpoint) {
+		c.midpoint, c.logMid, c.midPrimed = midpoint, math.Log(midpoint), true
+	}
+	return c.logMid
 }
 
 // DetectFull runs the detector over the whole frame, the single-model
 // and proposal-network mode.
 func (d *Detector) DetectFull(f Frame) Result {
-	dets := d.perceive(f, nil, 0)
+	dets := d.perceive(f, nil, 0, 1)
 	return Result{
 		Detections:   dets,
 		Ops:          d.Cost.FullFrameOps(f.Width, f.Height),
@@ -88,8 +155,8 @@ func (d *Detector) DetectFull(f Frame) Result {
 // Section 4.3. Objects insufficiently covered by the mask cannot be
 // detected; false positives only arise inside the covered area.
 func (d *Detector) DetectRegions(f Frame, mask *geom.Mask, nProposals int) Result {
-	dets := d.perceive(f, mask, nProposals)
 	frac := mask.CoveredFraction()
+	dets := d.perceive(f, mask, nProposals, frac)
 	return Result{
 		Detections:   dets,
 		Ops:          d.Cost.RegionOps(f.Width, f.Height, frac, nProposals),
@@ -98,32 +165,40 @@ func (d *Detector) DetectRegions(f Frame, mask *geom.Mask, nProposals int) Resul
 	}
 }
 
-// perceive produces the raw detections. mask == nil means full frame.
-// Candidate accumulation, NMS ordering and suppression all run on the
-// detector's reused scratch; only the returned slice — which callers
-// own and may retain — is allocated fresh, at its exact final size.
-func (d *Detector) perceive(f Frame, mask *geom.Mask, nProposals int) []Detection {
+// perceive produces the raw detections. mask == nil means full frame;
+// otherwise frac is the mask's covered fraction. Candidate
+// accumulation, NMS ordering and suppression all run on the detector's
+// reused scratch; only the returned slice — which callers own and may
+// retain — is allocated fresh, at its exact final size.
+//
+// Every key is the hashKey of its full word sequence, folded from the
+// cached shared prefixes (see hash.go): frameKey is
+// hashKey(modelH, seqH, frame), objKey is hashKey(modelH, seqH, frame,
+// id), and each purpose key is one more mix of objKey with its tag.
+func (d *Detector) perceive(f Frame, mask *geom.Mask, nProposals int, frac float64) []Detection {
 	p := d.Profile
-	modelH := hashString(p.Name)
-	seqH := hashString(f.SeqID)
-	frameKey := hashKey(modelH, seqH, uint64(f.Index))
+	c := &d.draws
+	prefix := c.prefixFor(p.Name, f.SeqID)
+	frameKey := mix(prefix, uint64(f.Index))
+	logMid := c.logMidpoint(p.Midpoint)
 
 	raw := d.scratch.raw[:0]
 	for _, o := range f.Objects {
 		if mask != nil && mask.BoxCoverage(o.Box) < MinCoverage {
 			continue
 		}
-		z := p.logitFor(o)
-		z += p.TrackBias * normal(hashKey(modelH, seqH, uint64(o.TrackID), tagBias))
+		z := p.logitFor(o, logMid)
+		z += p.TrackBias * c.biasDraw(prefix, o.TrackID)
 		if mask != nil {
 			z += p.RegionBoost
 		}
 		prob := p.MaxRecall * sigmoid(z)
-		key := hashKey(modelH, seqH, uint64(f.Index), uint64(o.TrackID), tagDetect)
+		objKey := mix(frameKey, uint64(o.TrackID))
+		key := mix(objKey, tagDetect)
 		if uniform(key) >= prob {
 			continue
 		}
-		box, jitterQ := d.jitter(o, modelH, seqH, uint64(f.Index))
+		box, jitterQ := jitter(p, o, objKey)
 		conf := sigmoid(p.ConfGain*z + p.ConfNoise*normal(hashKey(key, tagConf)) - p.LocConfCoupling*jitterQ)
 		raw = append(raw, Detection{
 			Scored:  geom.Scored{Box: box, Score: conf, Class: int(o.Class)},
@@ -131,7 +206,7 @@ func (d *Detector) perceive(f Frame, mask *geom.Mask, nProposals int) []Detectio
 		})
 	}
 
-	raw = d.appendFalsePositives(raw, f, mask, nProposals, frameKey)
+	raw = d.appendFalsePositives(raw, f, mask, nProposals, frac, frameKey)
 	d.scratch.raw = raw
 
 	// NMS over the combined output. The index-carrying variant keeps
@@ -156,20 +231,19 @@ func (d *Detector) perceive(f Frame, mask *geom.Mask, nProposals int) []Detectio
 }
 
 // jitter perturbs the ground-truth box by the profile's localization
-// noise, deterministically per (model, sequence, frame, track). The
-// second return value is the squared jitter magnitude normalized to
-// mean 1, which the confidence model uses to score badly localized
-// detections lower.
-func (d *Detector) jitter(o dataset.Object, modelH, seqH, frame uint64) (geom.Box, float64) {
-	p := d.Profile
+// noise, deterministically per (model, sequence, frame, track): objKey
+// is hashKey(modelH, seqH, frame, id), so each axis's key is
+// hashKey(modelH, seqH, frame, id, tag). The second return value is the
+// squared jitter magnitude normalized to mean 1, which the confidence
+// model uses to score badly localized detections lower.
+func jitter(p Profile, o dataset.Object, objKey uint64) (geom.Box, float64) {
 	if p.LocNoise == 0 {
 		return o.Box, 0
 	}
-	id := uint64(o.TrackID)
-	nx := normal(hashKey(modelH, seqH, frame, id, tagLocX))
-	ny := normal(hashKey(modelH, seqH, frame, id, tagLocY))
-	nw := normal(hashKey(modelH, seqH, frame, id, tagLocW))
-	nh := normal(hashKey(modelH, seqH, frame, id, tagLocH))
+	nx := normal(mix(objKey, tagLocX))
+	ny := normal(mix(objKey, tagLocY))
+	nw := normal(mix(objKey, tagLocW))
+	nh := normal(mix(objKey, tagLocH))
 	w, h := o.Box.Width(), o.Box.Height()
 	cx, cy := o.Box.Center()
 	cx += p.LocNoise * w * nx
@@ -182,23 +256,27 @@ func (d *Detector) jitter(o dataset.Object, modelH, seqH, frame uint64) (geom.Bo
 
 // appendFalsePositives appends the frame's clutter detections to dst
 // and returns the extended slice. The count is Poisson with mean FPRate
-// scaled by the covered fraction; locations are sampled
+// scaled by the covered fraction frac; locations are sampled
 // deterministically and, in region mode, kept only when they fall
-// inside the mask (with resampling).
-func (d *Detector) appendFalsePositives(dst []Detection, f Frame, mask *geom.Mask, nProposals int, frameKey uint64) []Detection {
+// inside the mask (with resampling). Every key extends
+// hashKey(frameKey, tagFP), the Poisson key, folded once per clutter
+// index i.
+func (d *Detector) appendFalsePositives(dst []Detection, f Frame, mask *geom.Mask, nProposals int, frac float64, frameKey uint64) []Detection {
 	p := d.Profile
 	rate := p.FPRate
 	if mask != nil {
-		rate = rate*mask.CoveredFraction() + p.RegionFPPerProposal*float64(nProposals)
+		rate = rate*frac + p.RegionFPPerProposal*float64(nProposals)
 	}
-	n := poissonHash(hashKey(frameKey, tagFP), rate)
+	fpKey := hashKey(frameKey, tagFP)
+	n := poissonHash(fpKey, rate)
 	out := dst
 	fw, fh := float64(f.Width), float64(f.Height)
 	for i := 0; i < n; i++ {
+		iKey := mix(fpKey, uint64(i))
 		var box geom.Box
 		placed := false
 		for attempt := 0; attempt < 8; attempt++ {
-			k := hashKey(frameKey, tagFP, uint64(i), uint64(attempt))
+			k := mix(iKey, uint64(attempt))
 			w := 10 + 35*uniform(mix(k, 1))
 			h := w * (0.6 + 1.8*uniform(mix(k, 2)))
 			cx := fw * uniform(mix(k, 3))
@@ -215,7 +293,7 @@ func (d *Detector) appendFalsePositives(dst []Detection, f Frame, mask *geom.Mas
 		if !placed {
 			continue
 		}
-		k := hashKey(frameKey, tagFP, uint64(i), tagConf)
+		k := mix(iKey, tagConf)
 		conf := sigmoid(p.FPConfCenter + p.ConfNoise*normal(k))
 		var class int
 		if len(d.Classes) > 0 {

@@ -9,6 +9,17 @@ import "math"
 // makes exactly the same per-object decision it would have made on the
 // full frame. This is what lets the cascade's accuracy *emerge* from the
 // profiles instead of being scripted.
+//
+// hashKey is a left fold, so every key that starts with the same words
+// continues from the same intermediate state: hashKey(a, b, c) is
+// mix(hashKey(a, b), c) with hashKey() the seed. The detector exploits
+// this identity instead of re-folding shared prefixes: it caches the
+// state after (model, sequence), derives each frame's key with one mix,
+// folds each object's track ID once and its purpose tags with one mix
+// apiece, and keeps the unscaled per-track bias draw, which depends on
+// neither frame nor mask, in a small table (see drawCache). The keys,
+// and therefore every variate, are bit-identical to calling hashKey on
+// the full word sequence.
 
 // Purpose tags keep different random decisions about the same object
 // decorrelated.
@@ -49,9 +60,12 @@ func mix(h, k uint64) uint64 {
 	return z
 }
 
+// hashSeed is the state hashKey starts its fold from.
+const hashSeed uint64 = 0x853c49e6748fea9b
+
 // hashKey folds a sequence of words into one 64-bit key.
 func hashKey(parts ...uint64) uint64 {
-	h := uint64(0x853c49e6748fea9b)
+	h := hashSeed
 	for _, p := range parts {
 		h = mix(h, p)
 	}

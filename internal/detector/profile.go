@@ -98,13 +98,14 @@ func (p Profile) Validate() error {
 }
 
 // logitFor returns the detection logit margin z for a ground-truth
-// object, before the track bias and region bonus.
-func (p Profile) logitFor(o dataset.Object) float64 {
+// object, before the track bias and region bonus. logMid is
+// math.Log(p.Midpoint), passed in so the detector can cache it.
+func (p Profile) logitFor(o dataset.Object, logMid float64) float64 {
 	h := o.Box.Height()
 	if h < 1 {
 		h = 1
 	}
-	z := (math.Log(h) - math.Log(p.Midpoint)) / p.Slope
+	z := (math.Log(h) - logMid) / p.Slope
 	z -= p.OccPenalty[clampOcc(o.Occlusion)]
 	z -= p.TruncPenalty * o.Truncation
 	return z
@@ -121,8 +122,9 @@ func clampOcc(l int) int {
 }
 
 // zoo holds the calibrated profiles. Tuned against the KITTI-sim world
-// (seed 1) to land near the paper's single-model anchors; see
-// EXPERIMENTS.md for the measured values.
+// (seed 1) to land near the paper's single-model anchors (Tables 4 and
+// 5); `go run ./cmd/experiments -table 4` and `-table 5` print the
+// measured values (README, "Reproducing the paper's tables").
 var zoo = map[string]Profile{
 	"resnet50": {
 		Name: "resnet50", Midpoint: 17, Slope: 0.32, MaxRecall: 0.985,

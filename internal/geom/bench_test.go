@@ -42,6 +42,7 @@ func launchCost(b Box) float64 { return 2.5e-3 + 0.16*b.Area()/(benchW*benchH) }
 var (
 	sinkCoverage float64
 	sinkMerged   []Box
+	sinkKept     []int
 )
 
 func BenchmarkMaskAddBox(b *testing.B) {
@@ -67,6 +68,19 @@ func BenchmarkMaskBoxCoverage(b *testing.B) {
 		for _, bx := range boxes {
 			sinkCoverage += m.BoxCoverage(bx)
 		}
+	}
+}
+
+// BenchmarkNMSIndices suppresses a crowded 120-candidate frame per op
+// on a reused, pre-grown buffer, the detector's per-invocation NMS.
+func BenchmarkNMSIndices(b *testing.B) {
+	dets := crowdedDets(120, 3)
+	var buf NMSBuffer
+	buf.Indices(dets, 0.5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkKept = buf.Indices(dets, 0.5)
 	}
 }
 
@@ -108,6 +122,10 @@ func TestMaskAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("BoxCoverage: %v allocs per frame, want 0", n)
+	}
+	o := NewMask(benchW, benchH, DefaultCell)
+	if n := testing.AllocsPerRun(50, func() { m.Or(o) }); n != 0 {
+		t.Fatalf("Or: %v allocs per frame, want 0", n)
 	}
 }
 

@@ -153,6 +153,18 @@ func (m *Mask) AddBoxes(boxes []Box, margin float64) {
 	}
 }
 
+// Or marks every cell marked in o, which must have m's geometry (the
+// same frame size and cell), so the union of two masks costs one OR per
+// word instead of re-rasterizing the boxes of either.
+//
+//detlint:allocfree
+func (m *Mask) Or(o *Mask) {
+	dst := m.bits[:len(o.bits)]
+	for i, w := range o.bits {
+		dst[i] |= w
+	}
+}
+
 // CoveredCells returns the number of marked cells.
 //
 //detlint:allocfree

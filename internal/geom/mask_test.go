@@ -159,3 +159,32 @@ func TestGreedyMergeDropsEmptyAndPreservesCoverage(t *testing.T) {
 		}
 	}
 }
+
+// Or of two masks over one geometry leaves exactly the bits of one mask
+// built from both box sets, on odd frame sizes and cell sizes; an empty
+// operand is the identity and Or is idempotent.
+func TestMaskOr(t *testing.T) {
+	frames := append([][2]float64{{37, 21}, {9, 7}}, spanFrames...)
+	for _, fr := range frames {
+		w, h := fr[0], fr[1]
+		for _, cell := range []float64{1, 3, 7.5, DefaultCell, 13, 64} {
+			rng := rand.New(rand.NewSource(int64(w*cell) + 1))
+			a, b, both := NewMask(w, h, cell), NewMask(w, h, cell), NewMask(w, h, cell)
+			for i := 0; i < 6; i++ {
+				ba, bb := randSpanBox(rng, w, h, cell), randSpanBox(rng, w, h, cell)
+				a.AddBox(ba)
+				b.AddBox(bb)
+				both.AddBox(ba)
+				both.AddBox(bb)
+			}
+			a.Or(NewMask(w, h, cell))
+			a.Or(b)
+			a.Or(b)
+			for i := range both.bits {
+				if a.bits[i] != both.bits[i] {
+					t.Fatalf("%gx%g cell %g: word %d = %#x, want %#x", w, h, cell, i, a.bits[i], both.bits[i])
+				}
+			}
+		}
+	}
+}

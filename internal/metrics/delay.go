@@ -28,9 +28,10 @@ type TrackObservation struct {
 // DelayAt returns the track's entry delay at detection threshold t: the
 // number of frames from FirstEligible to the first frame with a
 // matching detection of score >= t. Tracks never detected are charged
-// their full remaining lifetime (LastFrame - FirstEligible + 1) — the
-// paper does not specify the never-detected case; this choice penalizes
-// permanent misses and is stated in EXPERIMENTS.md.
+// their full remaining lifetime (LastFrame - FirstEligible + 1). The
+// paper does not specify the never-detected case; this reproduction
+// chooses to penalize permanent misses rather than drop them from the
+// mean.
 func (tr *TrackObservation) DelayAt(t float64) float64 {
 	for f := tr.FirstEligible; f <= tr.LastFrame; f++ {
 		if s, ok := tr.FrameScores[f]; ok && s >= t {

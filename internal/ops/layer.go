@@ -7,8 +7,8 @@
 // Because the authors' exact RoI-head configurations are not fully
 // specified, each cost model carries two calibration scales (feature-side
 // and head-side) fitted to the paper's published full-frame operation
-// counts; the scales are derived in zoo.go and documented in
-// EXPERIMENTS.md. All region- and proposal-dependent behaviour comes from
+// counts; zoo.go derives the scales and names the anchor each one is
+// fitted to. All region- and proposal-dependent behaviour comes from
 // the analytic structure, never from the anchors.
 package ops
 

@@ -18,8 +18,8 @@ type AblationRow struct {
 	Gops    float64
 }
 
-// Ablations evaluates the design choices DESIGN.md calls out, all on
-// the (Res10a, Res50) CaTDet system:
+// Ablations evaluates four tracker design choices, all on the (Res10a,
+// Res50) CaTDet system:
 //
 //   - exponential-decay motion model (the paper's choice) vs SORT's
 //     Kalman filter;

@@ -89,9 +89,12 @@ func LoadReport(rd io.Reader) (*Report, error) {
 	return &r, nil
 }
 
-// ShapeCheck verifies the DESIGN.md shape criteria on a report and
-// returns a list of violations (empty when the reproduction holds).
-// This is the automated form of EXPERIMENTS.md's "shape holds" claims.
+// ShapeCheck verifies the paper's qualitative claims on a report — the
+// shape criteria checked below, such as CaTDet's >= 3x operation saving
+// at near-single-model mAP, the cascade's collapse on CityPersons and
+// the flat with-tracker C-thresh curve — and returns a list of
+// violations (empty when the reproduction holds). `cmd/experiments
+// -json` runs it (README, "Reproducing the paper's tables").
 func (r *Report) ShapeCheck() []string {
 	var bad []string
 	fail := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
