@@ -84,8 +84,9 @@ cover:
 # cell-at-a-time reference on arbitrary boxes and cell sizes, then the
 # detector's prefix-folded, cached draws against the one-hashKey-per-draw
 # reference on arbitrary frame indices, track IDs, object and mask boxes
-# and profiles. CI runs this as a smoke pass; raise FUZZ_TIME locally
-# for a real hunt.
+# and profiles, then the serving agenda's typed heap against
+# container/heap on arbitrary add/next sequences. CI runs this as a
+# smoke pass; raise FUZZ_TIME locally for a real hunt.
 fuzz:
 	$(GO) test ./internal/serve -run '^FuzzSubmit$$' -fuzz '^FuzzSubmit$$' \
 		-fuzztime $(FUZZ_TIME)
@@ -93,6 +94,8 @@ fuzz:
 		-fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/detector -run '^FuzzPerceiveMatchesReference$$' \
 		-fuzz '^FuzzPerceiveMatchesReference$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/serve -run '^FuzzAgendaMatchesHeap$$' -fuzz '^FuzzAgendaMatchesHeap$$' \
+		-fuzztime $(FUZZ_TIME)
 
 # One iteration of every benchmark: a smoke pass that also emits the
 # headline reproduction metrics (b.ReportMetric) into $(BENCH_OUT).

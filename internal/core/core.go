@@ -57,7 +57,14 @@ func (b OpsBreakdown) Scale(n float64) OpsBreakdown {
 }
 
 // FrameOutput is one frame's detections plus cost accounting.
+//
+// Ownership: Detections and Regions alias the System's per-frame
+// scratch and are valid only until the System's next Step, which
+// overwrites them. Consumers that keep them longer must copy
+// (sim.Run copies Detections into a per-sequence slab).
 type FrameOutput struct {
+	// Detections is never nil: a frame without detections yields an
+	// empty, non-nil slice.
 	Detections []geom.Scored
 	Ops        OpsBreakdown
 	// NumProposals is the number of per-RoI head invocations charged to
@@ -69,11 +76,6 @@ type FrameOutput struct {
 	// Regions are the margin-expanded boxes handed to the refinement
 	// network (nil for the single-model system). The GPU timing model
 	// merges these into rectangular launches.
-	//
-	// Ownership: Regions aliases the System's per-frame scratch and is
-	// valid only until the System's next Step. Consumers that need it
-	// longer (none in this repo do) must copy; Detections is always a
-	// fresh slice and safe to retain.
 	Regions []geom.Box
 }
 
@@ -85,13 +87,16 @@ type System interface {
 	Step(f detector.Frame) FrameOutput
 }
 
-// scoredOf strips simulation metadata from detector output. The result
-// is always freshly allocated — FrameOutput.Detections is retained by
-// callers (the experiment harness accumulates it per run).
-func scoredOf(dets []detector.Detection) []geom.Scored {
-	out := make([]geom.Scored, len(dets))
-	for i, d := range dets {
-		out[i] = d.Scored
+// scoredInto strips simulation metadata from detector output into buf's
+// array, growing it only when it lacks capacity. The result is never
+// nil, so an empty frame reads as an empty slice (see FrameOutput).
+func scoredInto(buf []geom.Scored, dets []detector.Detection) []geom.Scored {
+	if buf == nil || cap(buf) < len(dets) {
+		buf = make([]geom.Scored, 0, max(len(dets), 2*cap(buf)))
+	}
+	out := buf[:0]
+	for _, d := range dets {
+		out = append(out, d.Scored)
 	}
 	return out
 }
@@ -112,6 +117,7 @@ func filterScored(dst []geom.Scored, dets []detector.Detection, thresh float64) 
 type SingleModel struct {
 	Detector *detector.Detector
 	name     string
+	dets     []geom.Scored // FrameOutput.Detections scratch
 }
 
 // NewSingleModel wraps a detector as a System.
@@ -132,8 +138,9 @@ func (s *SingleModel) Reset(*dataset.Sequence) {}
 // Step implements System.
 func (s *SingleModel) Step(f detector.Frame) FrameOutput {
 	r := s.Detector.DetectFull(f)
+	s.dets = scoredInto(s.dets, r.Detections)
 	return FrameOutput{
-		Detections: scoredOf(r.Detections),
+		Detections: s.dets,
 		Ops:        OpsBreakdown{Proposal: 0, Refinement: r.Ops},
 		Coverage:   1,
 	}
@@ -185,10 +192,12 @@ type Cascaded struct {
 
 	// Per-frame scratch reused across Steps: the region occupancy mask
 	// (word-zeroed between frames), the margin-expanded region list
-	// returned via FrameOutput.Regions, and the thresholded proposals.
+	// returned via FrameOutput.Regions, the thresholded proposals and
+	// the detections returned via FrameOutput.Detections.
 	mask    *geom.Mask
 	regions []geom.Box
 	props   []geom.Scored
+	dets    []geom.Scored
 }
 
 // NewCascaded builds the cascade system.
@@ -224,8 +233,9 @@ func (s *Cascaded) Step(f detector.Frame) FrameOutput {
 	}
 	s.regions = regions
 	ref := s.Refinement.DetectRegions(f, mask, len(proposals))
+	s.dets = scoredInto(s.dets, ref.Detections)
 	return FrameOutput{
-		Detections: scoredOf(ref.Detections),
+		Detections: s.dets,
 		Ops: OpsBreakdown{
 			Proposal:               prop.Ops,
 			Refinement:             ref.Ops,
@@ -256,12 +266,14 @@ type CaTDet struct {
 	// and the tracker-only mask that Step ORs into it (both word-zeroed
 	// between uses), the region list returned via
 	// FrameOutput.Regions, the thresholded proposals, the tracker's
-	// predictions and the confident detections fed back to it.
+	// predictions, the detections returned via FrameOutput.Detections
+	// and the confident ones fed back to the tracker.
 	mask    *geom.Mask
 	srcMask *geom.Mask
 	regions []geom.Box
 	props   []geom.Scored
 	tracked []geom.Scored
+	dets    []geom.Scored
 	trackIn []geom.Scored
 }
 
@@ -285,7 +297,11 @@ func (s *CaTDet) Reset(seq *dataset.Sequence) {
 	if s.Cfg.Tracker != nil {
 		cfg = *s.Cfg.Tracker
 	}
-	s.trk = tracker.New(cfg, float64(seq.Width), float64(seq.Height))
+	if s.trk == nil {
+		s.trk = tracker.New(cfg, float64(seq.Width), float64(seq.Height))
+		return
+	}
+	s.trk.ResetFor(cfg, float64(seq.Width), float64(seq.Height))
 }
 
 // Tracker exposes the live tracker (nil before Reset); tests and the
@@ -345,7 +361,8 @@ func (s *CaTDet) Step(f detector.Frame) FrameOutput {
 	s.regions = regions
 	nProps := len(proposals) + len(tracked)
 	ref := s.Refinement.DetectRegions(f, mask, nProps)
-	dets := scoredOf(ref.Detections)
+	dets := scoredInto(s.dets, ref.Detections)
+	s.dets = dets
 
 	// Temporal feedback: confident detections update the tracker.
 	s.trackIn = geom.FilterScoreAppend(s.trackIn[:0], dets, s.Cfg.TrackThresh)

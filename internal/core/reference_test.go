@@ -73,6 +73,15 @@ func refStep(s *CaTDet, f detector.Frame) FrameOutput {
 	}
 }
 
+// scoredOf is the former detection copy: a fresh slice per frame.
+func scoredOf(dets []detector.Detection) []geom.Scored {
+	out := make([]geom.Scored, len(dets))
+	for i, d := range dets {
+		out[i] = d.Scored
+	}
+	return out
+}
+
 // refSourceOps is the former CaTDet.sourceOps.
 func refSourceOps(s *CaTDet, f detector.Frame, boxes []geom.Scored, margin float64) float64 {
 	if len(boxes) == 0 {

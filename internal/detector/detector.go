@@ -39,7 +39,11 @@ type Detection struct {
 
 // Result is the output of one detector invocation.
 type Result struct {
-	// Detections after NMS, sorted by descending confidence.
+	// Detections after NMS, sorted by descending confidence (nil when
+	// none survive). The slice is the detector's scratch: it is valid
+	// until the next DetectFull or DetectRegions call on the same
+	// Detector, which overwrites it. Callers that keep detections
+	// longer must copy them.
 	Detections []Detection
 	// Ops is the arithmetic cost of the invocation, in raw operations.
 	Ops float64
@@ -63,11 +67,12 @@ type Detector struct {
 	Classes []dataset.Class
 
 	// Per-invocation scratch, reused across frames so the steady-state
-	// perceive path allocates only its returned Detections slice.
+	// perceive path allocates nothing; out backs Result.Detections.
 	scratch struct {
 		raw    []Detection
 		scored []geom.Scored
 		nms    geom.NMSBuffer
+		out    []Detection
 	}
 	draws drawCache
 }
@@ -168,8 +173,8 @@ func (d *Detector) DetectRegions(f Frame, mask *geom.Mask, nProposals int) Resul
 // perceive produces the raw detections. mask == nil means full frame;
 // otherwise frac is the mask's covered fraction. Candidate
 // accumulation, NMS ordering and suppression all run on the detector's
-// reused scratch; only the returned slice — which callers own and may
-// retain — is allocated fresh, at its exact final size.
+// reused scratch, and so does the returned slice (see
+// Result.Detections for how long it stays valid).
 //
 // Every key is the hashKey of its full word sequence, folded from the
 // cached shared prefixes (see hash.go): frameKey is
@@ -223,10 +228,11 @@ func (d *Detector) perceive(f Frame, mask *geom.Mask, nProposals int, frac float
 	if len(kept) == 0 {
 		return nil
 	}
-	out := make([]Detection, len(kept))
-	for k, i := range kept {
-		out[k] = raw[i]
+	out := d.scratch.out[:0]
+	for _, i := range kept {
+		out = append(out, raw[i])
 	}
+	d.scratch.out = out
 	return out
 }
 

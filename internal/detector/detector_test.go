@@ -2,6 +2,7 @@ package detector
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -39,6 +40,7 @@ func TestDetectDeterministic(t *testing.T) {
 	d := MustNew("resnet50")
 	f := testFrame(bigCar(1), bigCar(2))
 	a := d.DetectFull(f)
+	a.Detections = slices.Clone(a.Detections) // the next call reuses the slice
 	b := d.DetectFull(f)
 	if len(a.Detections) != len(b.Detections) {
 		t.Fatal("nondeterministic detection count")
@@ -202,6 +204,7 @@ func TestRegionRestrictionGates(t *testing.T) {
 	cover := geom.NewMask(1242, 375, 8)
 	cover.AddBox(car.Box.Expand(30))
 	rCover := d.DetectRegions(f, cover, 5)
+	rCover.Detections = slices.Clone(rCover.Detections) // the next call reuses the slice
 
 	// Mask elsewhere: the object cannot be detected.
 	miss := geom.NewMask(1242, 375, 8)

@@ -100,7 +100,7 @@ func benchGreedyMerge(b *testing.B, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkMerged = GreedyMerge(regions, cost)
+		sinkMerged = GreedyMerge(sinkMerged[:0], regions, cost)
 	}
 	b.ReportMetric(float64(calls)/float64(b.N), "cost_calls/op")
 }
@@ -129,19 +129,20 @@ func TestMaskAllocFree(t *testing.T) {
 	}
 }
 
-// GreedyMerge allocates its result and nothing else up to 64 boxes; past
-// that, the cached costs move to the heap too.
+// GreedyMerge into a dst with room allocates nothing up to 64 boxes;
+// past that, the cached costs move to the heap.
 func TestGreedyMergeAllocs(t *testing.T) {
 	_, regions := benchRegions(benchBoxes)
 	many := make([]Box, 65)
 	for i := range many {
 		many[i] = NewBox(float64(i*20), 0, float64(i*20+10), 10)
 	}
+	dst := make([]Box, 0, len(many))
 	for _, tc := range []struct {
 		boxes []Box
 		want  float64
-	}{{regions, 1}, {many[:64], 1}, {many, 2}} {
-		if n := testing.AllocsPerRun(10, func() { GreedyMerge(tc.boxes, launchCost) }); n != tc.want {
+	}{{regions, 0}, {many[:64], 0}, {many, 1}} {
+		if n := testing.AllocsPerRun(10, func() { GreedyMerge(dst[:0], tc.boxes, launchCost) }); n != tc.want {
 			t.Fatalf("GreedyMerge of %d boxes: %v allocs, want %v", len(tc.boxes), n, tc.want)
 		}
 	}

@@ -125,7 +125,7 @@ func TestGreedyMergeMergesWhenProfitable(t *testing.T) {
 	// Fixed per-region cost makes merging always profitable.
 	cost := func(b Box) float64 { return 1 + b.Area()/1e6 }
 	boxes := []Box{NewBox(0, 0, 10, 10), NewBox(20, 0, 30, 10), NewBox(0, 20, 10, 30)}
-	out := GreedyMerge(boxes, cost)
+	out := GreedyMerge(nil, boxes, cost)
 	if len(out) != 1 {
 		t.Fatalf("merged to %d regions, want 1", len(out))
 	}
@@ -136,7 +136,7 @@ func TestGreedyMergeKeepsDistantBoxesSeparate(t *testing.T) {
 	// boxes stay separate.
 	cost := func(b Box) float64 { return b.Area() }
 	boxes := []Box{NewBox(0, 0, 10, 10), NewBox(500, 500, 510, 510)}
-	out := GreedyMerge(boxes, cost)
+	out := GreedyMerge(nil, boxes, cost)
 	if len(out) != 2 {
 		t.Fatalf("merged distant boxes: %v", out)
 	}
@@ -145,7 +145,7 @@ func TestGreedyMergeKeepsDistantBoxesSeparate(t *testing.T) {
 func TestGreedyMergeDropsEmptyAndPreservesCoverage(t *testing.T) {
 	cost := func(b Box) float64 { return 1 + b.Area()/1e4 }
 	boxes := []Box{{}, NewBox(0, 0, 10, 10), NewBox(5, 5, 20, 20)}
-	out := GreedyMerge(boxes, cost)
+	out := GreedyMerge(nil, boxes, cost)
 	for _, b := range boxes[1:] {
 		covered := false
 		for _, o := range out {

@@ -11,35 +11,38 @@ type CostFunc func(b Box) float64
 // the paper's Appendix I: two boxes are merged whenever the estimated
 // execution cost of their union is smaller than the sum of their
 // individual costs. Merging repeats until no profitable pair remains.
-// The input is not modified; the result holds the merged regions.
+// The merged regions are appended to dst and the extended slice is
+// returned; dst may be boxes[:0], which merges in place. Otherwise the
+// input is not modified.
 //
 // Each live box's cost, and the cost of each live pair's union, is
 // computed once and cached, so a round scans cached values and a merge
 // reprices only the merged box's pairs: O(n²) cost calls in all
 // instead of O(n²) per round. Up to 64 boxes the caches live on the
-// stack and the result slice is the only allocation; past that, the
+// stack, and with room in dst nothing is allocated; past that, the
 // costs and the pair matrix share one heap slab.
-func GreedyMerge(boxes []Box, cost CostFunc) []Box {
-	out := make([]Box, 0, len(boxes))
+func GreedyMerge(dst, boxes []Box, cost CostFunc) []Box {
+	base := len(dst)
 	for _, b := range boxes {
 		if !b.Empty() {
-			out = append(out, b)
+			dst = append(dst, b)
 		}
 	}
+	out := dst[base:]
 	n := len(out)
 	switch {
 	case n < 2:
-		return out
 	case n <= 16:
 		var c [16]float64
 		var u [16 * 16]float64
-		return greedyMerge(out, cost, c[:n], u[:n*n])
+		out = greedyMerge(out, cost, c[:n], u[:n*n])
 	case n <= 64:
-		return greedyMerge64(out, cost)
+		out = greedyMerge64(out, cost)
 	default:
 		slab := make([]float64, n+n*n)
-		return greedyMerge(out, cost, slab[:n], slab[n:])
+		out = greedyMerge(out, cost, slab[:n], slab[n:])
 	}
+	return dst[:base+len(out)]
 }
 
 // greedyMerge64 merges 17 to 64 boxes with the caches on its own stack

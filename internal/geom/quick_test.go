@@ -139,7 +139,7 @@ func TestGreedyMergeNeverWorse(t *testing.T) {
 			before += cost(b)
 		}
 		after := 0.0
-		for _, b := range GreedyMerge(boxes, cost) {
+		for _, b := range GreedyMerge(nil, boxes, cost) {
 			after += cost(b)
 		}
 		return after <= before+1e-9

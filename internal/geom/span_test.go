@@ -298,7 +298,7 @@ var mergeCosts = []struct {
 func checkMergeMatchesReference(t *testing.T, label string, boxes []Box, cost CostFunc) bool {
 	t.Helper()
 	in := append([]Box(nil), boxes...)
-	got, want := GreedyMerge(boxes, cost), refGreedyMerge(append([]Box(nil), boxes...), cost)
+	got, want := GreedyMerge(nil, boxes, cost), refGreedyMerge(append([]Box(nil), boxes...), cost)
 	for i := range boxes {
 		if !sameBits(boxes[i], in[i]) {
 			t.Logf("%s: input box %d changed to %v", label, i, boxes[i])

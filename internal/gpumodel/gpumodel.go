@@ -76,14 +76,16 @@ func (m Model) RegionWorkload(region geom.Box, frameW, frameH float64, cost ops.
 // net) per candidate dominated the serving-loop heap profile. The
 // hoisted form multiplies the same two floats RegionWorkload would,
 // so merge decisions are bit-identical.
-func (m Model) MergeRegions(regions []geom.Box, frameW, frameH float64, cost ops.CostModel) []geom.Box {
+//
+// The merged regions are appended to dst, as by geom.GreedyMerge.
+func (m Model) MergeRegions(dst, regions []geom.Box, frameW, frameH float64, cost ops.CostModel) []geom.Box {
 	area := frameW * frameH
 	if frameW <= 0 || frameH <= 0 {
 		flat := m.LaunchTime(0)
-		return geom.GreedyMerge(regions, func(geom.Box) float64 { return flat })
+		return geom.GreedyMerge(dst, regions, func(geom.Box) float64 { return flat })
 	}
 	feat := cost.RegionOps(int(frameW), int(frameH), 1, 0)
-	return geom.GreedyMerge(regions, func(b geom.Box) float64 {
+	return geom.GreedyMerge(dst, regions, func(b geom.Box) float64 {
 		frac := b.Area() / area
 		if frac < 0 {
 			frac = 0
@@ -110,13 +112,20 @@ type FrameTime struct {
 	MergedWorkload float64
 }
 
+// mergeBuf is the number of merged regions CaTDetFrame holds on the
+// stack; a frame with more spills to the heap.
+const mergeBuf = 32
+
 // CaTDetFrame estimates the frame time for a cascaded/CaTDet frame:
 // proposalOps ran as one full-frame launch, and the (pre-merge)
 // refinement regions each carry margin already.
 func (m Model) CaTDetFrame(proposalOps float64, regions []geom.Box, frameW, frameH float64,
 	refCost ops.CostModel, nProposals int) FrameTime {
 
-	merged := m.MergeRegions(regions, frameW, frameH, refCost)
+	// The merged regions live only for this call: a stack buffer
+	// holds the usual frame's, so pricing allocates nothing.
+	var buf [mergeBuf]geom.Box
+	merged := m.MergeRegions(buf[:0], regions, frameW, frameH, refCost)
 	gpu := m.LaunchTime(proposalOps)
 	work := 0.0
 	launches := len(merged)

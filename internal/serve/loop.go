@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -54,10 +54,14 @@ type event struct {
 	execs int
 }
 
+// agenda is a binary min-heap of events under less. add and next are
+// container/heap's Push and Pop with the sift loops typed to event:
+// the same up/down steps and comparisons, so the pop order is
+// identical, without boxing every event into an interface.
 type agenda []event
 
-func (a agenda) Len() int { return len(a) }
-func (a agenda) Less(i, j int) bool {
+// less is the (t, kind, stream, frame, epoch, execs) order.
+func (a agenda) less(i, j int) bool {
 	if a[i].t != a[j].t {
 		return a[i].t < a[j].t
 	}
@@ -75,11 +79,63 @@ func (a agenda) Less(i, j int) bool {
 	}
 	return a[i].execs < a[j].execs
 }
-func (a agenda) Swap(i, j int) { a[i], a[j] = a[j], a[i] }
-func (a *agenda) Push(x any)   { *a = append(*a, x.(event)) }
-func (a *agenda) Pop() any     { old := *a; n := len(old); e := old[n-1]; *a = old[:n-1]; return e }
-func (a *agenda) add(e event)  { heap.Push(a, e) }
-func (a *agenda) next() event  { return heap.Pop(a).(event) }
+
+// add pushes e. The backing array only grows while the agenda is
+// longer than it has ever been.
+//
+//detlint:allocfree
+func (a *agenda) add(e event) {
+	h := *a
+	if cap(h) == len(h) {
+		h = slices.Grow(h, 1)
+	}
+	h = h[:len(h)+1]
+	h[len(h)-1] = e
+	h.up(len(h) - 1)
+	*a = h
+}
+
+// next pops the least event; the agenda must not be empty.
+//
+//detlint:allocfree
+func (a *agenda) next() event {
+	h := *a
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	h.down(0, n)
+	e := h[n]
+	*a = h[:n]
+	return e
+}
+
+func (a agenda) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !a.less(j, i) {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		j = i
+	}
+}
+
+func (a agenda) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && a.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !a.less(j, i) {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		i = j
+	}
+}
 
 // admitted is one frame an executor pulled from the scheduler, together
 // with the operating mode resolved at its admission (the per-stream
@@ -399,7 +455,7 @@ func (f *fleet) ensureFrame(s, frame int) {
 // advanceTo processes every agenda event up to and including virtual
 // time t, in (t, kind, stream, frame) order.
 func (f *fleet) advanceTo(t float64) {
-	for f.agenda.Len() > 0 && f.agenda[0].t <= t {
+	for len(f.agenda) > 0 && f.agenda[0].t <= t {
 		f.handle(f.agenda.next())
 	}
 }
@@ -619,10 +675,16 @@ func (f *fleet) dispatch() {
 			// Completion accounting: hold the launch unrecorded until
 			// its completion event fires (settle), so a failAt between
 			// now and then can seize the frames as never-served.
+			// The slot past pend's length keeps the frames array of a
+			// settled launch (see settle); the copy reuses it.
+			var frames []admitted
+			if n := len(f.pend); n < cap(f.pend) {
+				frames = f.pend[:n+1][n].frames[:0]
+			}
 			f.pend = append(f.pend, pendingBatch{
 				t: f.now + service, stream: head.Stream, frame: head.Frame,
 				epoch: head.Epoch, batch: f.batches,
-				frames: append([]admitted(nil), batch...),
+				frames: append(frames, batch...),
 			})
 			continue
 		}
@@ -679,7 +741,13 @@ func (f *fleet) settle(e event) {
 		p := &f.pend[i]
 		if p.t == e.t && p.stream == e.stream && p.frame == e.frame && p.epoch == e.epoch {
 			f.account(p.frames, p.t, p.batch)
-			f.pend = append(f.pend[:i], f.pend[i+1:]...)
+			// Close the gap, keeping dispatch order, and park the
+			// settled frames array in the freed slot past the length
+			// for the next launch to reuse.
+			frames, last := p.frames, len(f.pend)-1
+			copy(f.pend[i:], f.pend[i+1:])
+			f.pend[last].frames = frames
+			f.pend = f.pend[:last]
 			return
 		}
 	}

@@ -1,6 +1,6 @@
 package sched
 
-import "container/heap"
+import "slices"
 
 // edf is earliest-deadline-first: Next pops the waiting job with the
 // smallest deadline (arrive + MaxStaleness). Overflow also evicts the
@@ -24,27 +24,35 @@ func newEDF(cfg Config) *edf { return &edf{cfg: cfg} }
 func (e *edf) Name() Kind { return EDF }
 func (e *edf) Len() int   { return len(e.h) }
 
+// Admit pushes j and, over capacity, pops the earliest deadline.
+//
+//detlint:allocfree
 func (e *edf) Admit(j Job) (Job, bool) {
-	heap.Push(&e.h, j)
+	e.h.push(j)
 	if !e.cfg.over(len(e.h)) {
 		return Job{}, false
 	}
-	return heap.Pop(&e.h).(Job), true
+	return e.h.pop(), true
 }
 
+// Next pops the earliest deadline.
+//
+//detlint:allocfree
 func (e *edf) Next() (Job, bool) {
 	if len(e.h) == 0 {
 		return Job{}, false
 	}
-	return heap.Pop(&e.h).(Job), true
+	return e.h.pop(), true
 }
 
-// edfHeap orders by (deadline, arrive, stream, frame) — a total order
-// over jobs, so heap behavior is deterministic.
+// edfHeap is a binary min-heap ordered by (deadline, arrive, stream,
+// frame) — a total order over jobs, so heap behavior is deterministic.
+// push and pop are container/heap's Push and Pop with the sift loops
+// typed to Job: the same steps and comparisons, so the same pop order,
+// without boxing every job into an interface.
 type edfHeap []Job
 
-func (h edfHeap) Len() int { return len(h) }
-func (h edfHeap) Less(i, j int) bool {
+func (h edfHeap) less(i, j int) bool {
 	if h[i].Deadline != h[j].Deadline {
 		return h[i].Deadline < h[j].Deadline
 	}
@@ -56,12 +64,56 @@ func (h edfHeap) Less(i, j int) bool {
 	}
 	return h[i].Frame < h[j].Frame
 }
-func (h edfHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *edfHeap) Push(x any)   { *h = append(*h, x.(Job)) }
-func (h *edfHeap) Pop() any {
-	old := *h
-	n := len(old)
-	j := old[n-1]
-	*h = old[:n-1]
+
+// push adds j. The backing array only grows while the heap is longer
+// than it has ever been.
+func (h *edfHeap) push(j Job) {
+	s := *h
+	if cap(s) == len(s) {
+		s = slices.Grow(s, 1)
+	}
+	s = s[:len(s)+1]
+	s[len(s)-1] = j
+	s.up(len(s) - 1)
+	*h = s
+}
+
+// pop removes and returns the least job; the heap must not be empty.
+func (h *edfHeap) pop() Job {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	s.down(0, n)
+	j := s[n]
+	*h = s[:n]
 	return j
+}
+
+func (h edfHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h edfHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }

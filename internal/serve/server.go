@@ -514,7 +514,7 @@ func (s *Server) Drain(ctx context.Context) (*Result, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	for s.f.agenda.Len() > 0 {
+	for len(s.f.agenda) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

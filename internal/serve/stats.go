@@ -112,11 +112,13 @@ type StreamWindow struct {
 // latWindow is a fixed-capacity ring over the most recent served-frame
 // latencies, feeding the sliding-window percentiles of Stats. The
 // window size is stored explicitly because make() may round a slice's
-// capacity up to an allocation size class.
+// capacity up to an allocation size class. sorted is the scratch the
+// window is sorted into when read, so reading it allocates nothing.
 type latWindow struct {
-	buf []float64
-	max int // window size
-	n   int // total samples ever added
+	buf    []float64
+	sorted []float64
+	max    int // window size
+	n      int // total samples ever added
 }
 
 func newLatWindow(capacity int) *latWindow {
@@ -135,17 +137,28 @@ func (w *latWindow) add(v float64) {
 	w.n++
 }
 
-func (w *latWindow) summary() LatencySummary { return Summarize(w.buf) }
+// sortedCopy returns the window's samples in ascending order, in the
+// reused scratch; it is valid until the next read of the window.
+//
+//detlint:allocfree
+func (w *latWindow) sortedCopy() []float64 {
+	s := append(w.sorted[:0], w.buf...)
+	sort.Float64s(s)
+	w.sorted = s
+	return s
+}
+
+func (w *latWindow) summary() LatencySummary { return summarizeSorted(w.sortedCopy()) }
 
 // quantiles returns the window's p50 and p99 without building a full
 // summary — the two signals a control tick reads per stream.
+//
+//detlint:allocfree
 func (w *latWindow) quantiles() (p50, p99 float64) {
 	if len(w.buf) == 0 {
 		return 0, 0
 	}
-	sorted := make([]float64, len(w.buf))
-	copy(sorted, w.buf)
-	sort.Float64s(sorted)
+	sorted := w.sortedCopy()
 	return percentile(sorted, 0.50), percentile(sorted, 0.99)
 }
 
@@ -196,13 +209,21 @@ func (w *stampWindow) rate() float64 {
 // Summarize computes the latency summary of a sample set. The input is
 // not modified.
 func Summarize(samples []float64) LatencySummary {
-	s := LatencySummary{Count: len(samples)}
 	if len(samples) == 0 {
-		return s
+		return LatencySummary{}
 	}
 	sorted := make([]float64, len(samples))
 	copy(sorted, samples)
 	sort.Float64s(sorted)
+	return summarizeSorted(sorted)
+}
+
+// summarizeSorted is Summarize of an ascending-sorted sample set.
+func summarizeSorted(sorted []float64) LatencySummary {
+	s := LatencySummary{Count: len(sorted)}
+	if len(sorted) == 0 {
+		return s
+	}
 	sum := 0.0
 	for _, v := range sorted {
 		sum += v

@@ -114,8 +114,17 @@ type seqShard struct {
 // runSequence resets the system for the sequence and steps every frame,
 // accumulating the shard. This is the unit of work of both the serial
 // and the parallel runner.
+//
+// A Step's detections are valid only until the next Step, so each
+// frame's are appended to one growing slab; once the sequence is done,
+// the slab is copied to an array of exactly its length and every frame
+// takes its window of it, capped so an append by a holder cannot run
+// into the next frame's. A frame whose Step returned nil detections
+// keeps nil.
 func runSequence(sys core.System, seq *dataset.Sequence) seqShard {
 	sh := seqShard{frames: make([][]geom.Scored, len(seq.Frames))}
+	var slab []geom.Scored
+	ends := make([]int, len(seq.Frames)) // slab end of each frame, -1 for nil
 	sys.Reset(seq)
 	for fi := range seq.Frames {
 		out := sys.Step(detector.Frame{
@@ -125,11 +134,24 @@ func runSequence(sys core.System, seq *dataset.Sequence) seqShard {
 			Height:  seq.Height,
 			Objects: seq.Frames[fi].Objects,
 		})
-		sh.frames[fi] = out.Detections
+		ends[fi] = -1
+		if out.Detections != nil {
+			slab = append(slab, out.Detections...)
+			ends[fi] = len(slab)
+		}
 		sh.ops.Add(out.Ops)
 		sh.nFrames++
 		sh.sumProps += float64(out.NumProposals)
 		sh.sumCover += out.Coverage
+	}
+	exact := make([]geom.Scored, len(slab))
+	copy(exact, slab)
+	start := 0
+	for fi, end := range ends {
+		if end >= 0 {
+			sh.frames[fi] = exact[start:end:end]
+			start = end
+		}
 	}
 	return sh
 }

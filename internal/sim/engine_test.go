@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/detector"
+	"repro/internal/geom"
 	"repro/internal/video"
 )
 
@@ -78,5 +80,51 @@ func TestEngineTable7MatchesSerial(t *testing.T) {
 	par := Engine{Workers: 8}.Table7(ds)
 	if !reflect.DeepEqual(par, serial) {
 		t.Errorf("Table7 parallel = %+v, want %+v", par, serial)
+	}
+}
+
+// freshCopies wraps a System and hands each Step's detections out as a
+// freshly allocated slice, nil kept nil: the ownership rule before
+// FrameOutput.Detections became per-system scratch.
+type freshCopies struct{ core.System }
+
+func (f freshCopies) Step(fr detector.Frame) core.FrameOutput {
+	out := f.System.Step(fr)
+	if out.Detections != nil {
+		out.Detections = append(make([]geom.Scored, 0, len(out.Detections)), out.Detections...)
+	}
+	return out
+}
+
+// TestRunOutputSurvivesLaterSteps pins the other side of the scratch
+// ownership rule: Step's detections are valid only until the next
+// Step, so Run keeps its own copy. A result must not change when the
+// same system steps more frames afterwards, and it must equal the
+// result of a system handing out a fresh slice per frame, empty
+// frames included.
+func TestRunOutputSurvivesLaterSteps(t *testing.T) {
+	ds := video.Generate(video.MiniKITTIPreset(), 1)
+	for _, spec := range []SystemSpec{
+		{Kind: Single, Refinement: "resnet10b"},
+		{Kind: Cascaded, Proposal: "resnet10b", Refinement: "resnet18", Cfg: core.DefaultConfig()},
+		{Kind: CaTDet, Proposal: "resnet10a", Refinement: "resnet50", Cfg: core.DefaultConfig()},
+	} {
+		sys := spec.MustBuild(ds.Classes)
+		got := Run(sys, ds)
+		want := Run(freshCopies{spec.MustBuild(ds.Classes)}, ds)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Run differs from the fresh-slice run", spec.Kind)
+		}
+		for _, frames := range got.Detections {
+			for _, dets := range frames {
+				if dets == nil {
+					t.Fatalf("%s: a frame's detections are nil; Step never returns nil", spec.Kind)
+				}
+			}
+		}
+		Run(sys, video.Generate(video.MiniKITTIPreset(), 2)) // reuses every scratch buffer
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Run's result changed when the system stepped later frames", spec.Kind)
+		}
 	}
 }

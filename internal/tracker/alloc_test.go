@@ -52,6 +52,71 @@ func TestObserveAllocBudget(t *testing.T) {
 	}
 }
 
+// churnScene is driftScene plus one short-lived object: a detection
+// in a row of its own, at a new place every frame, so each frame
+// spawns a track and the one spawned two frames earlier, missed twice,
+// dies.
+func churnScene(frame int) []geom.Scored {
+	dets := driftScene(frame, 6)
+	x := 40 + float64(frame%10)*120
+	return append(dets, geom.Scored{Box: geom.NewBox(x, 300, x+50, 340), Score: 0.9, Class: 1})
+}
+
+// TestObserveChurnAllocBudget pins spawning at zero allocations: tracks
+// spawn and die every frame, and once the population has peaked a
+// spawn reuses the memory of a dead track.
+func TestObserveChurnAllocBudget(t *testing.T) {
+	trk := New(DefaultConfig(), 1242, 375)
+	for f := 0; f < 20; f++ { // reach the peak population, warm scratch
+		trk.Observe(churnScene(f))
+	}
+	scenes := make([][]geom.Scored, 101)
+	for i := range scenes {
+		scenes[i] = churnScene(20 + i)
+	}
+	pred := make([]geom.Scored, 0, 16)
+	firstID, i := trk.nextID, 0
+	n := testing.AllocsPerRun(100, func() {
+		trk.Observe(scenes[i%len(scenes)])
+		pred = trk.PredictAppend(pred[:0])
+		i++
+	})
+	if spawned := trk.nextID - firstID; spawned < 100 {
+		t.Fatalf("%d tracks spawned over 101 frames, want one or more per frame", spawned)
+	}
+	if live := len(trk.Tracks()); live > 12 {
+		t.Fatalf("%d live tracks; the short-lived ones are not dying", live)
+	}
+	if n != 0 {
+		t.Errorf("Observe+PredictAppend allocates %v per frame with tracks spawning and dying, want 0", n)
+	}
+}
+
+// TestTrackReuseMatchesFresh steps two trackers through the churning
+// scene, one of them Reset from an earlier run so its spawns reuse dead
+// tracks, and requires identical tracks, IDs included, frame by frame.
+func TestTrackReuseMatchesFresh(t *testing.T) {
+	reused := New(DefaultConfig(), 1242, 375)
+	for f := 0; f < 30; f++ {
+		reused.Observe(churnScene(f + 7))
+	}
+	reused.Reset()
+	fresh := New(DefaultConfig(), 1242, 375)
+	for f := 0; f < 40; f++ {
+		reused.Observe(churnScene(f))
+		fresh.Observe(churnScene(f))
+		a, b := reused.Tracks(), fresh.Tracks()
+		if len(a) != len(b) {
+			t.Fatalf("frame %d: %d tracks after reuse, %d fresh", f, len(a), len(b))
+		}
+		for k := range a {
+			if *a[k] != *b[k] {
+				t.Fatalf("frame %d track %d: %+v after reuse, fresh %+v", f, k, *a[k], *b[k])
+			}
+		}
+	}
+}
+
 // TestPredictAppendMatchesPredict pins the append variant against the
 // allocating one.
 func TestPredictAppendMatchesPredict(t *testing.T) {

@@ -123,6 +123,10 @@ type Tracker struct {
 	cfg    Config
 	frameW float64
 	frameH float64
+	// tracks holds the live tracks in creation order. The slots past
+	// len(tracks), up to cap, hold dead tracks (or nil): Observe moves
+	// a track that dies there and a spawn reuses it, so a churning
+	// population allocates only while it grows past its peak.
 	tracks []*Track
 	nextID int
 
@@ -152,16 +156,25 @@ func New(cfg Config, frameW, frameH float64) *Tracker {
 
 // Reset discards all tracks and recorded tracklets (call between
 // sequences).
-func (t *Tracker) Reset() {
-	t.tracks = nil
+func (t *Tracker) Reset() { t.ResetFor(t.cfg, t.frameW, t.frameH) }
+
+// ResetFor is Reset for a new frameW-by-frameH video under cfg: the
+// tracker then behaves as New(cfg, frameW, frameH) would, except that
+// tracklet recording stays as it was, and it keeps its scratch buffers
+// and discarded tracks for reuse.
+func (t *Tracker) ResetFor(cfg Config, frameW, frameH float64) {
+	t.cfg, t.frameW, t.frameH = cfg, frameW, frameH
+	t.tracks = t.tracks[:0]
 	t.nextID = 1
 	t.tracklets = nil
 	t.trackletOrder = nil
 	t.frameCounter = 0
 }
 
-// Tracks exposes the live tracks (read-only use expected).
-func (t *Tracker) Tracks() []*Track { return t.tracks }
+// Tracks exposes the live tracks, read-only. The slice and the tracks
+// it points to are valid until the next Observe or Reset: the memory
+// of a track that dies is reused by a later spawn.
+func (t *Tracker) Tracks() []*Track { return t.tracks[:len(t.tracks):len(t.tracks)] }
 
 // Observe ingests the current frame's detections: it associates them
 // with the tracks' predictions, updates matched tracks, coasts missed
@@ -199,8 +212,9 @@ func (t *Tracker) Observe(dets []geom.Scored) {
 	}
 
 	// Missed tracks: keep motion constant (coast along the prediction)
-	// and decay confidence.
-	kept := t.tracks[:0]
+	// and decay confidence. Survivors are swapped forward in order, so
+	// the tracks that die end up past the new length, free for reuse.
+	k := 0
 	for i, tr := range t.tracks {
 		tr.Age++
 		if !matchedTrack[i] {
@@ -217,9 +231,10 @@ func (t *Tracker) Observe(dets []geom.Scored) {
 				tr.S += tr.VS
 			}
 		}
-		kept = append(kept, tr)
+		t.tracks[k], t.tracks[i] = tr, t.tracks[k]
+		k++
 	}
-	t.tracks = kept
+	t.tracks = t.tracks[:k]
 
 	// Emerging objects: unmatched detections start new tracks with zero
 	// motion.
@@ -232,19 +247,33 @@ func (t *Tracker) Observe(dets []geom.Scored) {
 			continue
 		}
 		cx, cy := d.Box.Center()
-		//detlint:ok spawning an emerging track is the cold path; steady state spawns none (alloc budget pins 0)
-		tr := &Track{
+		tr := t.spawn()
+		*tr = Track{
 			ID: t.nextID, Class: d.Class,
 			X: cx, Y: cy, S: w, R: d.Box.AspectRatio(),
 			Confidence: t.cfg.InitialConfidence,
 			pvar:       t.cfg.KalmanMeasurementNoise,
 			vvar:       10 * t.cfg.KalmanProcessNoise,
 		}
-		//detlint:ok track-list growth happens only when a track spawns, which is itself cold
-		t.tracks = append(t.tracks, tr)
 		t.nextID++
 		t.recordMatch(tr, d.Box)
 	}
+}
+
+// spawn appends a track slot to the live list and returns its track,
+// a dead one from past the list's length when there is one; the caller
+// overwrites every field. It allocates only when the population
+// exceeds every earlier peak since New.
+func (t *Tracker) spawn() *Track {
+	n := len(t.tracks)
+	if cap(t.tracks) == n {
+		t.tracks = append(t.tracks, nil)
+	}
+	t.tracks = t.tracks[:n+1]
+	if t.tracks[n] == nil {
+		t.tracks[n] = new(Track)
+	}
+	return t.tracks[n]
 }
 
 // associate runs one Hungarian assignment between track predictions and

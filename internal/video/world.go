@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -133,7 +134,16 @@ func GenerateSequence(p Preset, seed int64, s int) *dataset.Sequence {
 type Grower struct {
 	g   *generator
 	seq *dataset.Sequence
+	// chunk is the unused tail of the slab the frames' Objects are
+	// carved from: each frame takes exactly its objects' worth, capped
+	// so an append by a holder cannot run into the next frame's. At
+	// most one slab tail is ever unused.
+	chunk []dataset.Object
 }
+
+// chunkObjects is the size of one Objects slab, in objects (32 KiB): at
+// KITTI-sim densities a world takes a new slab every few dozen frames.
+const chunkObjects = 512
 
 // NewGrower prepares the world of sequence s of the preset (warm-up
 // included) with zero frames emitted; Preset.FramesPerSeq is ignored —
@@ -164,13 +174,25 @@ func NewGrower(p Preset, seed int64, s int) *Grower {
 func (w *Grower) Sequence() *dataset.Sequence { return w.seq }
 
 // Grow extends the sequence to at least n frames; shorter or equal
-// targets are no-ops. Frames already emitted are never touched.
+// targets are no-ops. Frames already emitted are never touched. A
+// frame with no objects keeps nil Objects.
 func (w *Grower) Grow(n int) {
+	if n <= len(w.seq.Frames) {
+		return
+	}
+	w.seq.Frames = slices.Grow(w.seq.Frames, n-len(w.seq.Frames))
 	for f := len(w.seq.Frames); f < n; f++ {
 		w.g.step()
 		frame := dataset.Frame{Index: f, Labeled: isLabeled(w.g.p, f)}
-		for _, o := range w.g.live {
-			frame.Objects = append(frame.Objects, w.g.observe(o))
+		if k := len(w.g.live); k > 0 {
+			if len(w.chunk) < k {
+				w.chunk = make([]dataset.Object, max(k, chunkObjects))
+			}
+			frame.Objects = w.chunk[:k:k]
+			w.chunk = w.chunk[k:]
+			for i, o := range w.g.live {
+				frame.Objects[i] = w.g.observe(o)
+			}
 		}
 		w.seq.Frames = append(w.seq.Frames, frame)
 	}
@@ -180,6 +202,7 @@ type generator struct {
 	p      Preset
 	rng    *rand.Rand
 	live   []*object
+	free   []*object // dead objects, reused by spawn
 	nextID int
 	egoVX  float64
 }
@@ -215,6 +238,8 @@ func (g *generator) step() {
 		}
 		if g.alive(o) {
 			kept = append(kept, o)
+		} else {
+			g.free = append(g.free, o)
 		}
 	}
 	g.live = kept
@@ -239,12 +264,19 @@ func (g *generator) alive(o *object) bool {
 	return vis > 0.15
 }
 
-// spawn creates a new object of the class. Objects enter either small
-// near the horizon (approaching traffic) or at a lateral frame edge.
+// spawn creates a new object of the class, reusing a dead one's memory
+// when there is one. Objects enter either small near the horizon
+// (approaching traffic) or at a lateral frame edge.
 func (g *generator) spawn(spec *ClassSpec) *object {
 	p := g.p
 	rng := g.rng
-	o := &object{
+	var o *object
+	if n := len(g.free); n > 0 {
+		o, g.free = g.free[n-1], g.free[:n-1]
+	} else {
+		o = new(object)
+	}
+	*o = object{
 		id:     g.nextID,
 		spec:   spec,
 		aspect: math.Max(0.3, spec.Aspect+rng.NormFloat64()*spec.AspectJitter),

@@ -547,3 +547,55 @@ func TestRescalePreservesPerSecondStats(t *testing.T) {
 }
 
 func centerX(b geom.Box) float64 { x, _ := b.Center(); return x }
+
+// TestGrowAllocs pins the world's growth at steady state: frames carve
+// their objects from a shared 32 KiB slab and spawns reuse dead
+// objects, so growing a frame costs a slab only every few dozen frames
+// plus the sequence's doubling frame list, not the former per-frame
+// doubling of every frame's Objects.
+func TestGrowAllocs(t *testing.T) {
+	g := NewGrower(KITTIPreset(), 5, 0)
+	g.Grow(200) // warm the dead-object free list
+	n := len(g.Sequence().Frames)
+	const frames = 100
+	perRun := testing.AllocsPerRun(10, func() {
+		n += frames
+		g.Grow(n)
+	})
+	if perRun > 2 {
+		t.Errorf("growing %d frames allocates %v times, budget is 2", frames, perRun)
+	}
+	objects := 0
+	for _, f := range g.Sequence().Frames[200:] {
+		objects += len(f.Objects)
+	}
+	if objects < 2*chunkObjects {
+		t.Fatalf("only %d objects grown; the budget needs several slabs' worth", objects)
+	}
+}
+
+// BenchmarkGrow extends a KITTI-sim world frame by frame, the way the
+// serving engine grows each stream's world. Each world is first grown
+// by growWarm frames outside the timer, so the dead-object free list
+// is warm, and started over every growSpan timed frames, so memory
+// stays bounded.
+func BenchmarkGrow(b *testing.B) {
+	const growWarm, growSpan = 200, 2000
+	fresh := func() *Grower {
+		g := NewGrower(KITTIPreset(), 5, 0)
+		g.Grow(growWarm)
+		return g
+	}
+	g := fresh()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % growSpan
+		if k == 0 && i > 0 {
+			b.StopTimer()
+			g = fresh()
+			b.StartTimer()
+		}
+		g.Grow(growWarm + k + 1)
+	}
+}
